@@ -15,7 +15,6 @@ from .attention import (
     fgattn_bwd,
     fgattn_fwd,
     fixed_gate_from_alibi_slope,
-    mha_fwd,
     rope_apply,
 )
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingFault

@@ -21,6 +21,22 @@ from .errors import ShapeError
 from .kernels import cumsum_fwd, cumsum_rev, matmul, neg_inf, row_softmax
 
 
+def _check_log_gates(logf: np.ndarray) -> None:
+    """Reject gates the decay bias cannot represent.
+
+    Every logf_t must be finite and <= 0. Since no term is positive, a finite
+    float64 total bounds every prefix sum c_i, so the bias never overflows.
+    """
+    if not np.all(np.isfinite(logf)):
+        raise ValueError("log forget gates must be finite")
+    if np.any(logf > 0):
+        raise ValueError("log forget gates must be <= 0")
+    with np.errstate(over="ignore"):
+        total = np.sum(logf, dtype=np.float64)
+    if not np.isfinite(total):
+        raise ValueError("log forget gates sum past the float64 range")
+
+
 @dataclass
 class AttentionInputs:
     """One head's attention inputs for a length-L sequence.
@@ -50,8 +66,7 @@ class AttentionInputs:
         logf = np.asarray(self.logf)
         if logf.shape != (self.q.shape[0],):
             raise ShapeError(f"logf shape {logf.shape} != ({self.q.shape[0]},)")
-        if np.any(logf > 0):
-            raise ValueError("log forget gates must be <= 0")
+        _check_log_gates(logf)
         if self.scale is None:
             self.scale = 1.0 / float(np.sqrt(self.q.shape[1]))
 
@@ -102,8 +117,7 @@ def decay_bias(logf: np.ndarray, dtype=None) -> DecayBias:
     entries that carry almost all of the attention mass.
     """
     logf = np.asarray(logf)
-    if np.any(logf > 0):
-        raise ValueError("log forget gates must be <= 0")
+    _check_log_gates(logf)
     if dtype is None:
         dtype = logf.dtype if logf.dtype in (np.float32, np.float64) else np.float64
     c = cumsum_fwd(logf)
@@ -179,54 +193,36 @@ def fixed_gate_from_alibi_slope(slope: float) -> float:
     return -float(slope)
 
 
+def _rotate_pairs(
+    x: np.ndarray, base_theta: float, start_pos: int, sign: float
+) -> np.ndarray:
+    """Rotate consecutive feature pairs of x (..., n, d) by sign * position angle."""
+    if x.ndim < 2:
+        raise ShapeError(f"x must be at least 2-D, got ndim={x.ndim}")
+    n, d = x.shape[-2:]
+    if d % 2 != 0:
+        raise ShapeError(f"feature dim must be even for pairwise rotation, got {d}")
+    pos = np.arange(start_pos, start_pos + n, dtype=np.float64)
+    inv_freq = float(base_theta) ** (-np.arange(0, d, 2, dtype=np.float64) / d)
+    ang = pos[:, None] * inv_freq[None, :]
+    cos = np.cos(ang).astype(x.dtype)
+    sin = (sign * np.sin(ang)).astype(x.dtype)
+    x0, x1 = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = x0 * cos - x1 * sin
+    out[..., 1::2] = x0 * sin + x1 * cos
+    return out
+
+
 def rope_apply(x: np.ndarray, base_theta: float, start_pos: int = 0) -> np.ndarray:
-    """Rotary position embedding on consecutive feature pairs.
+    """Rotary position embedding on consecutive feature pairs of x (..., n, d).
 
     Pair 2i rotates by angle pos * base_theta^(-2i/d). Used only by the
     plain-projection layer; the gated layers rely on the decay bias instead.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"x must be 2-D, got ndim={x.ndim}")
-    n, d = x.shape
-    if d % 2 != 0:
-        raise ShapeError(f"feature dim must be even for pairwise rotation, got {d}")
-    pos = np.arange(start_pos, start_pos + n, dtype=np.float64)
-    inv_freq = float(base_theta) ** (-np.arange(0, d, 2, dtype=np.float64) / d)
-    ang = pos[:, None] * inv_freq[None, :]
-    cos = np.cos(ang).astype(x.dtype)
-    sin = np.sin(ang).astype(x.dtype)
-    x0, x1 = x[:, 0::2], x[:, 1::2]
-    out = np.empty_like(x)
-    out[:, 0::2] = x0 * cos - x1 * sin
-    out[:, 1::2] = x0 * sin + x1 * cos
-    return out
+    return _rotate_pairs(x, base_theta, start_pos, 1.0)
 
 
 def rope_unapply(x: np.ndarray, base_theta: float, start_pos: int = 0) -> np.ndarray:
     """Inverse rotation; also the backward of rope_apply (rotations are orthogonal)."""
-    if x.ndim != 2:
-        raise ShapeError(f"x must be 2-D, got ndim={x.ndim}")
-    n, d = x.shape
-    if d % 2 != 0:
-        raise ShapeError(f"feature dim must be even for pairwise rotation, got {d}")
-    pos = np.arange(start_pos, start_pos + n, dtype=np.float64)
-    inv_freq = float(base_theta) ** (-np.arange(0, d, 2, dtype=np.float64) / d)
-    ang = pos[:, None] * inv_freq[None, :]
-    cos = np.cos(ang).astype(x.dtype)
-    sin = np.sin(ang).astype(x.dtype)
-    x0, x1 = x[:, 0::2], x[:, 1::2]
-    out = np.empty_like(x)
-    out[:, 0::2] = x0 * cos + x1 * sin
-    out[:, 1::2] = -x0 * sin + x1 * cos
-    return out
-
-
-def mha_fwd(heads: list[AttentionInputs]) -> list[np.ndarray]:
-    """Run independent heads over one sequence; outputs line up with inputs."""
-    if not heads:
-        raise ShapeError("need at least one head")
-    n = heads[0].length
-    for i, h in enumerate(heads):
-        if h.length != n:
-            raise ShapeError(f"head {i} length {h.length} != head 0 length {n}")
-    return [fgattn_fwd(h) for h in heads]
+    return _rotate_pairs(x, base_theta, start_pos, -1.0)

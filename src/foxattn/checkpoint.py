@@ -16,6 +16,7 @@ Round trips are bit-exact: save(load(p)) reproduces the file bytes.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -29,7 +30,7 @@ _CODE_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
 def save_tensors(tensors: dict[str, np.ndarray], path: str | Path) -> None:
-    """Write name -> array records in dict order."""
+    """Write name -> array records in dict order, replacing path atomically."""
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", len(tensors))
@@ -44,7 +45,19 @@ def save_tensors(tensors: dict[str, np.ndarray], path: str | Path) -> None:
         out += struct.pack("<BB", _CODE_FOR[arr.dtype], arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
-    Path(path).write_bytes(bytes(out))
+    # Write a sibling temp file and rename it over the target: a crash or a
+    # failed write leaves the previous checkpoint intact, never a torn one.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("wb") as f:
+            f.write(out)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:

@@ -66,18 +66,24 @@ def row_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def rmsnorm(x: np.ndarray, gamma: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """y = gamma * x / sqrt(mean(x^2) + eps), row-wise for 2-D input."""
+    """y = gamma * x / sqrt(mean(x^2) + eps) over the last axis.
+
+    x is a vector (gamma of the same shape) or rows (..., n, d); rows carry one
+    scale vector per leading index, so gamma has shape (..., d).
+    """
     gamma = np.asarray(gamma)
     if x.ndim == 1:
         if gamma.shape != x.shape:
             raise ShapeError(f"gamma shape {gamma.shape} != x shape {x.shape}")
         r = np.sqrt(np.mean(x * x) + eps)
         return gamma * x / r
-    _check_2d("x", x)
-    if gamma.shape != (x.shape[1],):
-        raise ShapeError(f"gamma shape {gamma.shape} != ({x.shape[1]},)")
-    r = np.sqrt(np.mean(x * x, axis=1, keepdims=True) + eps)
-    return gamma * x / r
+    if x.ndim < 2:
+        raise ShapeError(f"x must be 1-D or stacked rows, got ndim={x.ndim}")
+    want = x.shape[:-2] + x.shape[-1:]
+    if gamma.shape != want:
+        raise ShapeError(f"gamma shape {gamma.shape} != {want}")
+    r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    return gamma[..., None, :] * x / r
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,13 @@ learnable per-head constant sigmoid(b); "fixed" freezes that constant (its
 gradient is reported as exactly zero and it never enters an optimizer);
 "none" removes decay entirely (f = 1), leaving standard causal attention.
 
+Parameters are stacked over heads: LayerParams holds one tensor per kind
+with a leading head axis H (w_q is H x d_head x d_model, gate_b has H
+entries), so projections, norms, shifts and gates run for all heads at once.
+Only the attention core runs head by head, on the 2-D one-head kernels. The
+model's named_parameters() exposes each head's slice as a view under the
+name blocks.<i>.attn.heads.<h>.<field>.
+
 The backward pass is hand-written and exact. It consumes the activations
 saved by the forward and recomputes nothing except attention score tiles
 (when the tiled backend is selected).
@@ -23,7 +30,7 @@ saved by the forward and recomputes nothing except attention score tiles
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -117,8 +124,14 @@ class LayerConfig:
 
 
 @dataclass
-class HeadParams:
-    """One head's parameters; unused features hold None."""
+class LayerParams:
+    """One layer's parameters stacked over its H heads; unused features hold None.
+
+    w_q, w_k, w_v, w_g: H x d_head x d_model. shift_k, shift_v, gate_w:
+    H x d_model. gate_b: H. q_gamma, k_gamma, out_gamma: H x d_head.
+    w_o: d_model x (H * d_head), head h owning columns h*d_head:(h+1)*d_head.
+    Field order is the canonical per-head parameter order.
+    """
 
     w_q: np.ndarray
     w_k: np.ndarray
@@ -127,20 +140,32 @@ class HeadParams:
     shift_k: np.ndarray | None = None
     shift_v: np.ndarray | None = None
     gate_w: np.ndarray | None = None
-    gate_b: np.ndarray | None = None
+    gate_b: np.ndarray | None = field(default=None, metadata={"gate_bias": True})
     q_gamma: np.ndarray | None = None
     k_gamma: np.ndarray | None = None
     out_gamma: np.ndarray | None = None
+    w_o: np.ndarray = field(kw_only=True)
+
+    def head_tensors(self) -> list[tuple[str, np.ndarray]]:
+        """(field name, stacked tensor) of every per-head parameter present."""
+        named = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [(name, a) for name, a in named if a is not None and name != "w_o"]
+
+
+# Leaf name of the forget-gate bias, taken from the field so the optimizer's
+# rules (no weight decay; frozen in "fixed" mode) follow any rename.
+GATE_BIAS = next(f.name for f in fields(LayerParams) if f.metadata.get("gate_bias"))
 
 
 @dataclass
-class LayerParams:
-    heads: list[HeadParams]
-    w_o: np.ndarray
+class LayerActivations:
+    """Forward values kept for the backward, stacked over heads.
 
+    Feature tensors are H x L x d_head; alpha_k, alpha_v, f and logf are
+    H x L; aux holds one ForwardAux per head for the tiled backend.
+    """
 
-@dataclass
-class HeadActs:
+    x: np.ndarray
     q_pre: np.ndarray
     q: np.ndarray
     k_proj: np.ndarray
@@ -155,13 +180,7 @@ class HeadActs:
     o: np.ndarray
     o_norm: np.ndarray
     g: np.ndarray | None
-    aux: ForwardAux | None
-
-
-@dataclass
-class LayerActivations:
-    x: np.ndarray
-    heads: list[HeadActs]
+    aux: list[ForwardAux] | None
 
 
 def gate_timescales(t_min: float, t_max: float, n_heads: int) -> np.ndarray:
@@ -196,29 +215,36 @@ def bias_timescale(b: float) -> float:
 
 
 def forget_gates(
-    x: np.ndarray, mode: GateMode, head: HeadParams
+    x: np.ndarray, mode: GateMode, params: LayerParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position gates (f, logf) for one head.
+    """Per-position gates (f, logf) for every head, each H x L.
 
     logf is computed as -softplus(-z), never as log(sigmoid(z)), so strongly
     negative pre-activations cannot round the gate to exactly zero before
     the log.
     """
-    n = x.shape[0]
+    shape = (params.w_q.shape[0], x.shape[0])
     dtype = x.dtype
     if mode.kind == "none":
-        return np.ones(n, dtype=dtype), np.zeros(n, dtype=dtype)
+        return np.ones(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
     if mode.kind == "data_dependent":
-        z = x @ head.gate_w + head.gate_b[0]
+        z = params.gate_w @ x.T + params.gate_b[:, None]
     else:
-        z = np.full(n, head.gate_b[0], dtype=dtype)
+        z = np.broadcast_to(params.gate_b[:, None], shape).astype(dtype)
     return sigmoid(z).astype(dtype), log_sigmoid(z).astype(dtype)
+
+
+def _prev_rows(a: np.ndarray) -> np.ndarray:
+    """a shifted down one row along axis -2, with a zero first row."""
+    prev = np.zeros_like(a)
+    prev[..., 1:, :] = a[..., :-1, :]
+    return prev
 
 
 def _shift_mix(proj: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """mix_t = alpha_t * proj_{t-1} + (1 - alpha_t) * proj_t, with proj_0 = 0."""
-    prev = np.vstack([np.zeros((1, proj.shape[1]), dtype=proj.dtype), proj[:-1]])
-    return alpha[:, None] * prev + (1.0 - alpha[:, None]) * proj
+    a = alpha[..., None]
+    return a * _prev_rows(proj) + (1.0 - a) * proj
 
 
 def kv_shift(
@@ -251,67 +277,90 @@ def kv_shift(
 def rmsnorm_bwd(
     x: np.ndarray, gamma: np.ndarray, d_y: np.ndarray, eps: float = 1e-6
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise RMSNorm backward: returns (dx, dgamma)."""
-    d = x.shape[1]
-    r = np.sqrt(np.mean(x * x, axis=1, keepdims=True) + eps)
-    gdy = gamma * d_y
-    dgamma = (d_y * x / r).sum(axis=0)
-    dx = gdy / r - x * ((gdy * x).sum(axis=1, keepdims=True) / (d * r * r * r))
+    """Backward of kernels.rmsnorm on rows (..., n, d): returns (dx, dgamma)."""
+    d = x.shape[-1]
+    r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    gdy = gamma[..., None, :] * d_y
+    dgamma = (d_y * x / r).sum(axis=-2)
+    dx = gdy / r - x * ((gdy * x).sum(axis=-1, keepdims=True) / (d * r * r * r))
     return dx, dgamma
 
 
-def _check_head_params(head: HeadParams, mode: GateMode, cfg: LayerConfig) -> None:
-    if cfg.output_gate and head.w_g is None:
+def _check_params(params: LayerParams, mode: GateMode, cfg: LayerConfig) -> None:
+    if params.w_q.shape[0] != cfg.n_heads:
+        raise ShapeError(f"{params.w_q.shape[0]} head params for {cfg.n_heads} heads")
+    if cfg.output_gate and params.w_g is None:
         raise ConfigError("output gate enabled but w_g is missing")
-    if cfg.kv_shift and (head.shift_k is None or head.shift_v is None):
+    if cfg.kv_shift and (params.shift_k is None or params.shift_v is None):
         raise ConfigError("kv shift enabled but shift weights are missing")
-    if cfg.qk_norm and (head.q_gamma is None or head.k_gamma is None):
+    if cfg.qk_norm and (params.q_gamma is None or params.k_gamma is None):
         raise ConfigError("qk norm enabled but norm scales are missing")
-    if cfg.output_norm and head.out_gamma is None:
+    if cfg.output_norm and params.out_gamma is None:
         raise ConfigError("output norm enabled but out_gamma is missing")
-    if mode.has_gate_bias and head.gate_b is None:
+    if mode.has_gate_bias and params.gate_b is None:
         raise ConfigError(f"gate mode {mode.kind} needs gate_b")
-    if mode.has_gate_vector and head.gate_w is None:
+    if mode.has_gate_vector and params.gate_w is None:
         raise ConfigError("data_dependent gate needs gate_w")
 
 
-def _head_forward(
-    x: np.ndarray, head: HeadParams, mode: GateMode, cfg: LayerConfig
-) -> HeadActs:
-    _check_head_params(head, mode, cfg)
-    q_pre = x @ head.w_q.T
-    k_proj = x @ head.w_k.T
-    v_proj = x @ head.w_v.T
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """H x L x dh to L x (H * dh), head h in columns h*dh:(h+1)*dh."""
+    h, n, dh = a.shape
+    return a.transpose(1, 0, 2).reshape(n, h * dh)
+
+
+def _from_heads(da: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Input gradient summed over heads: sum_h da[h] @ w[h], as one product."""
+    return _merge_heads(da) @ w.reshape(-1, w.shape[-1])
+
+
+def _forward(
+    x: np.ndarray, params: LayerParams, mode: GateMode, cfg: LayerConfig
+) -> tuple[np.ndarray, LayerActivations]:
+    if x.ndim != 2 or x.shape[1] != cfg.d_model:
+        raise ShapeError(f"x must be L x {cfg.d_model}, got {x.shape}")
+    _check_params(params, mode, cfg)
+    q_pre = x @ params.w_q.transpose(0, 2, 1)
+    k_proj = x @ params.w_k.transpose(0, 2, 1)
+    v_proj = x @ params.w_v.transpose(0, 2, 1)
 
     if cfg.rope:
         q_pre = rope_apply(q_pre, cfg.rope_theta)
         k_proj = rope_apply(k_proj, cfg.rope_theta)
 
-    q = rmsnorm(q_pre, head.q_gamma, cfg.eps) if cfg.qk_norm else q_pre
+    q = rmsnorm(q_pre, params.q_gamma, cfg.eps) if cfg.qk_norm else q_pre
 
     if cfg.kv_shift:
-        alpha_k = sigmoid(x @ head.shift_k)
-        alpha_v = sigmoid(x @ head.shift_v)
+        alpha_k = sigmoid(params.shift_k @ x.T)
+        alpha_v = sigmoid(params.shift_v @ x.T)
         k_mix = _shift_mix(k_proj, alpha_k)
         v = _shift_mix(v_proj, alpha_v)
     else:
         alpha_k = alpha_v = None
         k_mix = k_proj
         v = v_proj
-    k = rmsnorm(k_mix, head.k_gamma, cfg.eps) if cfg.qk_norm else k_mix
+    k = rmsnorm(k_mix, params.k_gamma, cfg.eps) if cfg.qk_norm else k_mix
 
-    f, logf = forget_gates(x, mode, head)
-    logf_used = logf if cfg.logf_cap is None else np.minimum(logf, cfg.logf_cap)
-    inp = AttentionInputs(q=q, k=k, v=v, logf=logf_used.astype(x.dtype))
-    if cfg.backend == "tiled":
-        o, aux = tiled_fwd(inp, cfg.tile)
-    else:
-        o = fgattn_fwd(inp)
-        aux = None
+    f, logf = forget_gates(x, mode, params)
+    if cfg.logf_cap is not None:
+        logf = np.minimum(logf, cfg.logf_cap).astype(x.dtype)
 
-    o_norm = rmsnorm(o, head.out_gamma, cfg.eps) if cfg.output_norm else o
-    g = sigmoid(x @ head.w_g.T) if cfg.output_gate else None
-    return HeadActs(
+    o = np.empty_like(v)
+    aux = [] if cfg.backend == "tiled" else None
+    for h in range(cfg.n_heads):
+        inp = AttentionInputs(q=q[h], k=k[h], v=v[h], logf=logf[h])
+        if aux is not None:
+            o[h], a = tiled_fwd(inp, cfg.tile)
+            aux.append(a)
+        else:
+            o[h] = fgattn_fwd(inp)
+
+    o_norm = rmsnorm(o, params.out_gamma, cfg.eps) if cfg.output_norm else o
+    g = sigmoid(x @ params.w_g.transpose(0, 2, 1)) if cfg.output_gate else None
+    u = o_norm * g if cfg.output_gate else o_norm
+    y = _merge_heads(u) @ params.w_o.T
+    return y, LayerActivations(
+        x=x,
         q_pre=q_pre,
         q=q,
         k_proj=k_proj,
@@ -322,30 +371,12 @@ def _head_forward(
         alpha_k=alpha_k,
         alpha_v=alpha_v,
         f=f,
-        logf=logf_used.astype(x.dtype),
+        logf=logf,
         o=o,
         o_norm=o_norm,
         g=g,
         aux=aux,
     )
-
-
-def _forward(
-    x: np.ndarray, params: LayerParams, mode: GateMode, cfg: LayerConfig
-) -> tuple[np.ndarray, LayerActivations]:
-    if x.ndim != 2 or x.shape[1] != cfg.d_model:
-        raise ShapeError(f"x must be L x {cfg.d_model}, got {x.shape}")
-    if len(params.heads) != cfg.n_heads:
-        raise ShapeError(f"{len(params.heads)} head params for {cfg.n_heads} heads")
-    dh = cfg.d_head
-    y = np.zeros((x.shape[0], cfg.d_model), dtype=x.dtype)
-    acts: list[HeadActs] = []
-    for h, head in enumerate(params.heads):
-        ha = _head_forward(x, head, mode, cfg)
-        u = ha.o_norm * ha.g if cfg.output_gate else ha.o_norm
-        y += u @ params.w_o[:, h * dh : (h + 1) * dh].T
-        acts.append(ha)
-    return y, LayerActivations(x=x, heads=acts)
 
 
 def pro_layer_fwd(
@@ -366,40 +397,18 @@ def llama_layer_fwd(
     return _forward(x, params, mode, cfg)
 
 
-def zeros_like_head(head: HeadParams) -> HeadParams:
-    def z(a):
-        return None if a is None else np.zeros_like(a)
-
-    return HeadParams(
-        w_q=z(head.w_q),
-        w_k=z(head.w_k),
-        w_v=z(head.w_v),
-        w_g=z(head.w_g),
-        shift_k=z(head.shift_k),
-        shift_v=z(head.shift_v),
-        gate_w=z(head.gate_w),
-        gate_b=z(head.gate_b),
-        q_gamma=z(head.q_gamma),
-        k_gamma=z(head.k_gamma),
-        out_gamma=z(head.out_gamma),
-    )
-
-
 def zeros_like_layer(params: LayerParams) -> LayerParams:
-    return LayerParams(
-        heads=[zeros_like_head(h) for h in params.heads],
-        w_o=np.zeros_like(params.w_o),
-    )
+    zeros = {name: np.zeros_like(a) for name, a in params.head_tensors()}
+    return replace(params, w_o=np.zeros_like(params.w_o), **zeros)
 
 
 def _shift_bwd(
     proj: np.ndarray, alpha: np.ndarray, d_mix: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward of _shift_mix: returns (d_proj, d_alpha)."""
-    d_proj = (1.0 - alpha[:, None]) * d_mix
-    d_proj[:-1] += alpha[1:, None] * d_mix[1:]
-    prev = np.vstack([np.zeros((1, proj.shape[1]), dtype=proj.dtype), proj[:-1]])
-    d_alpha = (d_mix * (prev - proj)).sum(axis=1)
+    d_proj = (1.0 - alpha[..., None]) * d_mix
+    d_proj[..., :-1, :] += alpha[..., 1:, None] * d_mix[..., 1:, :]
+    d_alpha = (d_mix * (_prev_rows(proj) - proj)).sum(axis=-1)
     return d_proj, d_alpha
 
 
@@ -420,84 +429,74 @@ def layer_bwd(
     x = acts.x
     if d_y.shape != (x.shape[0], cfg.d_model):
         raise ShapeError(f"d_y shape {d_y.shape} != {(x.shape[0], cfg.d_model)}")
-    dh = cfg.d_head
+    n_heads, dh = cfg.n_heads, cfg.d_head
     grads = zeros_like_layer(params)
-    dx = np.zeros_like(x)
-    for h, (head, ha, hg) in enumerate(zip(params.heads, acts.heads, grads.heads)):
-        blk = params.w_o[:, h * dh : (h + 1) * dh]
-        u = ha.o_norm * ha.g if cfg.output_gate else ha.o_norm
-        grads.w_o[:, h * dh : (h + 1) * dh] = d_y.T @ u
-        du = d_y @ blk
+    u = acts.o_norm * acts.g if cfg.output_gate else acts.o_norm
+    grads.w_o[...] = d_y.T @ _merge_heads(u)
+    du = (d_y @ params.w_o).reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
 
-        if cfg.output_gate:
-            dg = du * ha.o_norm
-            d_on = du * ha.g
-            dzg = dg * ha.g * (1.0 - ha.g)
-            hg.w_g[...] = dzg.T @ x
-            dx += dzg @ head.w_g
-        else:
-            d_on = du
+    if cfg.output_gate:
+        g = acts.g
+        d_on = du * g
+        dzg = du * acts.o_norm * g * (1.0 - g)
+        grads.w_g[...] = dzg.transpose(0, 2, 1) @ x
+        dx = _from_heads(dzg, params.w_g)
+    else:
+        d_on = du
+        dx = np.zeros_like(x)
 
-        if cfg.output_norm:
-            do, dog = rmsnorm_bwd(ha.o, head.out_gamma, d_on, cfg.eps)
-            hg.out_gamma[...] = dog
-        else:
-            do = d_on
+    if cfg.output_norm:
+        do, grads.out_gamma[...] = rmsnorm_bwd(acts.o, params.out_gamma, d_on, cfg.eps)
+    else:
+        do = d_on
 
-        inp = AttentionInputs(q=ha.q, k=ha.k, v=ha.v, logf=ha.logf)
+    dq = np.empty_like(acts.q)
+    dk = np.empty_like(acts.k)
+    dv = np.empty_like(acts.v)
+    dlogf = np.empty_like(acts.logf)
+    for h in range(n_heads):
+        inp = AttentionInputs(q=acts.q[h], k=acts.k[h], v=acts.v[h], logf=acts.logf[h])
         if cfg.backend == "tiled":
-            ag = tiled_bwd(inp, ha.o, ha.aux, do, cfg.tile)
+            ag = tiled_bwd(inp, acts.o[h], acts.aux[h], do[h], cfg.tile)
         else:
-            ag = fgattn_bwd(inp, ha.o, do)
+            ag = fgattn_bwd(inp, acts.o[h], do[h])
+        dq[h], dk[h], dv[h], dlogf[h] = ag.dq, ag.dk, ag.dv, ag.dlogf
 
-        if mode.kind == "data_dependent":
-            dz = ag.dlogf * (1.0 - ha.f)
-            hg.gate_w[...] = x.T @ dz
-            hg.gate_b[...] = dz.sum()
-            dx += np.outer(dz, head.gate_w)
-        elif mode.kind == "data_independent":
-            hg.gate_b[...] = (ag.dlogf * (1.0 - ha.f)).sum()
-        # fixed: frozen, gradient stays zero; none: no gate parameters
+    if mode.kind == "data_dependent":
+        dz = dlogf * (1.0 - acts.f)
+        grads.gate_w[...] = dz @ x
+        grads.gate_b[...] = dz.sum(axis=1)
+        dx += dz.T @ params.gate_w
+    elif mode.kind == "data_independent":
+        grads.gate_b[...] = (dlogf * (1.0 - acts.f)).sum(axis=1)
+    # fixed: frozen, gradient stays zero; none: no gate parameters
 
-        dq = ag.dq
-        if cfg.qk_norm:
-            dq_pre, dqg = rmsnorm_bwd(ha.q_pre, head.q_gamma, dq, cfg.eps)
-            hg.q_gamma[...] = dqg
-        else:
-            dq_pre = dq
-        if cfg.rope:
-            dq_pre = rope_unapply(dq_pre, cfg.rope_theta)
-        hg.w_q[...] = dq_pre.T @ x
-        dx += dq_pre @ head.w_q
+    if cfg.qk_norm:
+        dq, grads.q_gamma[...] = rmsnorm_bwd(acts.q_pre, params.q_gamma, dq, cfg.eps)
+    if cfg.rope:
+        dq = rope_unapply(dq, cfg.rope_theta)
+    grads.w_q[...] = dq.transpose(0, 2, 1) @ x
+    dx += _from_heads(dq, params.w_q)
 
-        dk = ag.dk
-        if cfg.qk_norm:
-            d_kmix, dkg = rmsnorm_bwd(ha.k_mix, head.k_gamma, dk, cfg.eps)
-            hg.k_gamma[...] = dkg
-        else:
-            d_kmix = dk
-        if cfg.kv_shift:
-            d_kproj, d_alpha_k = _shift_bwd(ha.k_proj, ha.alpha_k, d_kmix)
-            dza = d_alpha_k * ha.alpha_k * (1.0 - ha.alpha_k)
-            hg.shift_k[...] = x.T @ dza
-            dx += np.outer(dza, head.shift_k)
-        else:
-            d_kproj = d_kmix
-        if cfg.rope:
-            d_kproj = rope_unapply(d_kproj, cfg.rope_theta)
-        hg.w_k[...] = d_kproj.T @ x
-        dx += d_kproj @ head.w_k
+    if cfg.qk_norm:
+        dk, grads.k_gamma[...] = rmsnorm_bwd(acts.k_mix, params.k_gamma, dk, cfg.eps)
+    if cfg.kv_shift:
+        dk, d_alpha_k = _shift_bwd(acts.k_proj, acts.alpha_k, dk)
+        dza = d_alpha_k * acts.alpha_k * (1.0 - acts.alpha_k)
+        grads.shift_k[...] = dza @ x
+        dx += dza.T @ params.shift_k
+    if cfg.rope:
+        dk = rope_unapply(dk, cfg.rope_theta)
+    grads.w_k[...] = dk.transpose(0, 2, 1) @ x
+    dx += _from_heads(dk, params.w_k)
 
-        dv = ag.dv
-        if cfg.kv_shift:
-            d_vproj, d_alpha_v = _shift_bwd(ha.v_proj, ha.alpha_v, dv)
-            dzb = d_alpha_v * ha.alpha_v * (1.0 - ha.alpha_v)
-            hg.shift_v[...] = x.T @ dzb
-            dx += np.outer(dzb, head.shift_v)
-        else:
-            d_vproj = dv
-        hg.w_v[...] = d_vproj.T @ x
-        dx += d_vproj @ head.w_v
+    if cfg.kv_shift:
+        dv, d_alpha_v = _shift_bwd(acts.v_proj, acts.alpha_v, dv)
+        dzb = d_alpha_v * acts.alpha_v * (1.0 - acts.alpha_v)
+        grads.shift_v[...] = dzb @ x
+        dx += dzb.T @ params.shift_v
+    grads.w_v[...] = dv.transpose(0, 2, 1) @ x
+    dx += _from_heads(dv, params.w_v)
 
     return dx, grads
 
@@ -510,38 +509,53 @@ def init_layer_params(
     init_std: float = 0.02,
 ) -> LayerParams:
     """Fresh layer parameters: N(0, init_std^2) weights, unit norm scales,
-    zero data-dependent gate bias, timescale-grid constant-gate biases."""
-    d, dh = cfg.d_model, cfg.d_head
+    zero data-dependent gate bias, timescale-grid constant-gate biases.
+
+    Weights are drawn head by head (gate_w, w_q, w_k, w_v, w_g, shift_k,
+    shift_v, then the next head) and w_o last; a seed's initial checkpoint
+    bytes depend on this order.
+    """
+    d, dh, n_heads = cfg.d_model, cfg.d_head, cfg.n_heads
 
     def w(*shape):
         return rng.normal(0.0, init_std, size=shape).astype(dtype)
 
-    const_bias = (
-        forget_gate_init(mode.t_min, mode.t_max, cfg.n_heads)
-        if mode.kind in ("data_independent", "fixed")
-        else None
-    )
-    heads = []
-    for h in range(cfg.n_heads):
-        if mode.kind == "data_dependent":
-            gate_w, gate_b = w(d), np.zeros(1, dtype=dtype)
-        elif mode.kind in ("data_independent", "fixed"):
-            gate_w, gate_b = None, np.array([const_bias[h]], dtype=dtype)
-        else:
-            gate_w, gate_b = None, None
-        heads.append(
-            HeadParams(
-                w_q=w(dh, d),
-                w_k=w(dh, d),
-                w_v=w(dh, d),
-                w_g=w(dh, d) if cfg.output_gate else None,
-                shift_k=w(d) if cfg.kv_shift else None,
-                shift_v=w(d) if cfg.kv_shift else None,
-                gate_w=gate_w,
-                gate_b=gate_b,
-                q_gamma=np.ones(dh, dtype=dtype) if cfg.qk_norm else None,
-                k_gamma=np.ones(dh, dtype=dtype) if cfg.qk_norm else None,
-                out_gamma=np.ones(dh, dtype=dtype) if cfg.output_norm else None,
-            )
+    draws = [
+        (
+            w(d) if mode.has_gate_vector else None,
+            w(dh, d),
+            w(dh, d),
+            w(dh, d),
+            w(dh, d) if cfg.output_gate else None,
+            w(d) if cfg.kv_shift else None,
+            w(d) if cfg.kv_shift else None,
         )
-    return LayerParams(heads=heads, w_o=w(d, cfg.n_heads * dh))
+        for _ in range(n_heads)
+    ]
+    gate_w, w_q, w_k, w_v, w_g, shift_k, shift_v = (
+        None if per_head[0] is None else np.stack(per_head) for per_head in zip(*draws)
+    )
+    if mode.kind == "data_dependent":
+        gate_b = np.zeros(n_heads, dtype=dtype)
+    elif mode.kind in ("data_independent", "fixed"):
+        gate_b = forget_gate_init(mode.t_min, mode.t_max, n_heads).astype(dtype)
+    else:
+        gate_b = None
+
+    def ones(enabled):
+        return np.ones((n_heads, dh), dtype=dtype) if enabled else None
+
+    return LayerParams(
+        w_q=w_q,
+        w_k=w_k,
+        w_v=w_v,
+        w_g=w_g,
+        shift_k=shift_k,
+        shift_v=shift_v,
+        gate_w=gate_w,
+        gate_b=gate_b,
+        q_gamma=ones(cfg.qk_norm),
+        k_gamma=ones(cfg.qk_norm),
+        out_gamma=ones(cfg.output_norm),
+        w_o=w(d, n_heads * dh),
+    )

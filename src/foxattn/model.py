@@ -8,7 +8,11 @@ block's parameter count matches the plain ("llama") block at the same width,
 making architecture comparisons parameter-for-parameter fair.
 
 All parameters are reachable through named_parameters(), which defines the
-canonical flat names used by the optimizer and the checkpoint format.
+canonical flat names used by the optimizer and the checkpoint format. Each
+layer stores its heads stacked (see layer.LayerParams); named_parameters()
+yields every head's slice as a view named blocks.<i>.attn.heads.<h>.<field>,
+so in-place updates through the flat names (optimizer steps, gradient
+accumulation, checkpoint loads) write straight into the stacked tensors.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .errors import ConfigError, ShapeError
 from .kernels import rmsnorm, sigmoid
 from .layer import (
     GateMode,
-    HeadParams,
     LayerActivations,
     LayerConfig,
     LayerParams,
@@ -186,33 +189,18 @@ def init_model_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelPar
     )
 
 
-def _head_named(h: int, head: HeadParams):
-    for field_name in (
-        "w_q",
-        "w_k",
-        "w_v",
-        "w_g",
-        "shift_k",
-        "shift_v",
-        "gate_w",
-        "gate_b",
-        "q_gamma",
-        "k_gamma",
-        "out_gamma",
-    ):
-        a = getattr(head, field_name)
-        if a is not None:
-            yield f"heads.{h}.{field_name}", a
-
-
 def named_parameters(params: ModelParams):
     """Yield (name, array) for every parameter, in a fixed canonical order."""
     yield "embed", params.embed
     for i, blk in enumerate(params.blocks):
         yield f"blocks.{i}.attn_norm.gamma", blk.attn_gamma
-        for h, head in enumerate(blk.attn.heads):
-            for name, a in _head_named(h, head):
-                yield f"blocks.{i}.attn.{name}", a
+        stacked = blk.attn.head_tensors()
+        for h in range(blk.attn.w_q.shape[0]):
+            for name, a in stacked:
+                # views, so writes through the flat names land in the stack;
+                # a[h : h + 1] keeps the one-number-per-head gate bias 1-D
+                view = a[h] if a.ndim > 1 else a[h : h + 1]
+                yield f"blocks.{i}.attn.heads.{h}.{name}", view
         yield f"blocks.{i}.attn.w_o", blk.attn.w_o
         yield f"blocks.{i}.mlp_norm.gamma", blk.mlp_gamma
         yield f"blocks.{i}.mlp.w_in", blk.w_in
@@ -300,6 +288,18 @@ def model_fwd(
     return logits, ModelActs(tokens=tokens, blocks=blocks, x_final=x, h_final=h_final)
 
 
+def _check_targets(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """One target id in [0, vocab) per logits row; returns targets as an array."""
+    if logits.ndim != 2:
+        raise ShapeError("logits must be 2-D")
+    targets = np.asarray(targets)
+    if targets.shape != (logits.shape[0],):
+        raise ShapeError(f"targets shape {targets.shape} != ({logits.shape[0]},)")
+    if np.any(targets < 0) or np.any(targets >= logits.shape[1]):
+        raise ValueError("target id out of range")
+    return targets
+
+
 def cross_entropy(
     logits: np.ndarray,
     targets: np.ndarray,
@@ -310,13 +310,7 @@ def cross_entropy(
     loss_i = logsumexp(logits_i) - logits_i[target_i]; the mean is weighted
     when a weight vector is given (weights that are all zero are an error).
     """
-    if logits.ndim != 2:
-        raise ShapeError("logits must be 2-D")
-    targets = np.asarray(targets)
-    if targets.shape != (logits.shape[0],):
-        raise ShapeError(f"targets shape {targets.shape} != ({logits.shape[0]},)")
-    if np.any(targets < 0) or np.any(targets >= logits.shape[1]):
-        raise ValueError("target id out of range")
+    targets = _check_targets(logits, targets)
     m = logits.max(axis=1)
     lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
     per_pos = lse - logits[np.arange(logits.shape[0]), targets]
@@ -335,11 +329,12 @@ def cross_entropy_bwd(
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """d(mean loss)/d(logits): (softmax - onehot) scaled by each weight share."""
-    n, v = logits.shape
+    targets = _check_targets(logits, targets)
+    n = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     p = e / e.sum(axis=1, keepdims=True)
-    p[np.arange(n), np.asarray(targets)] -= 1.0
+    p[np.arange(n), targets] -= 1.0
     if weights is None:
         w = np.full(n, 1.0 / n)
     else:
@@ -378,25 +373,7 @@ def model_bwd(
         bg.mlp_gamma[...] = dmg
         d_xmid = d_xmid + dx
         # Attention half: x_mid = x_in + layer(rmsnorm(x_in))
-        d_ain, layer_grads = layer_bwd(ba.layer, d_xmid, blk.attn, cfg.gate_mode, lcfg)
-        bg.attn.w_o[...] = layer_grads.w_o
-        for hg_dst, hg_src in zip(bg.attn.heads, layer_grads.heads):
-            for name in (
-                "w_q",
-                "w_k",
-                "w_v",
-                "w_g",
-                "shift_k",
-                "shift_v",
-                "gate_w",
-                "gate_b",
-                "q_gamma",
-                "k_gamma",
-                "out_gamma",
-            ):
-                src = getattr(hg_src, name)
-                if src is not None:
-                    getattr(hg_dst, name)[...] = src
+        d_ain, bg.attn = layer_bwd(ba.layer, d_xmid, blk.attn, cfg.gate_mode, lcfg)
         d_xin, dag = rmsnorm_bwd(ba.x_in, blk.attn_gamma, d_ain, cfg.eps)
         bg.attn_gamma[...] = dag
         dx = d_xin + d_xmid

@@ -19,6 +19,7 @@ import numpy as np
 
 from .checkpoint import save_model
 from .errors import ConfigError, TrainingFault
+from .layer import GATE_BIAS
 from .model import (
     ModelConfig,
     ModelParams,
@@ -102,7 +103,7 @@ def clip_grad_norm(
 def decay_exempt(name: str) -> bool:
     """RMSNorm scales and forget-gate biases never receive weight decay."""
     leaf = name.rsplit(".", 1)[-1]
-    return leaf == "gamma" or leaf.endswith("gamma") or leaf == "gate_b"
+    return leaf == "gamma" or leaf.endswith("gamma") or leaf == GATE_BIAS
 
 
 @dataclass
@@ -154,7 +155,7 @@ def trainable_names(params: ModelParams, cfg: ModelConfig) -> list[str]:
     """Canonical optimizer parameter list; fixed-mode gate biases drop out."""
     names = []
     for name, _ in named_parameters(params):
-        if cfg.gate_mode.kind == "fixed" and name.rsplit(".", 1)[-1] == "gate_b":
+        if cfg.gate_mode.kind == "fixed" and name.rsplit(".", 1)[-1] == GATE_BIAS:
             continue
         names.append(name)
     return names
@@ -176,6 +177,40 @@ class TrainResult:
 
 def _format_row(step: int, tokens: int, lr: float, loss: float, grad_norm: float) -> str:
     return f"{step},{tokens},{lr:.10g},{loss:.10g},{grad_norm:.10g}"
+
+
+def _batch_loss_and_grads(
+    params: ModelParams, model_cfg: ModelConfig, batch: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean loss over the batch's scored positions, and its gradients by flat name."""
+    if not batch:
+        raise TrainingFault("empty batch")
+    grads = zeros_like_model(params)
+    grad_flat = dict(named_parameters(grads))
+    total_weight = 0.0
+    for seq, mask in batch:
+        total_weight += float(np.asarray(mask[1:], dtype=np.float64).sum())
+    if total_weight <= 0:
+        raise TrainingFault("batch has no scored positions")
+
+    loss_acc = 0.0
+    for seq, mask in batch:
+        seq = np.asarray(seq)
+        w = np.asarray(mask[1:], dtype=np.float64)
+        if not w.any():
+            continue
+        logits, acts = model_fwd(seq[:-1], params, model_cfg)
+        _, per_pos = cross_entropy(logits, seq[1:])
+        loss_acc += float((per_pos * w).sum())
+        share = float(w.sum() / total_weight)  # python float: keeps f32 grads f32
+        d_logits = cross_entropy_bwd(logits, seq[1:], w) * share
+        g = model_bwd(acts, d_logits, params, model_cfg)
+        for name, a in named_parameters(g):
+            grad_flat[name] += a
+    loss_value = loss_acc / total_weight
+    if not math.isfinite(loss_value):
+        raise TrainingFault(f"non-finite loss {loss_value}")
+    return loss_value, grad_flat
 
 
 def train_loop(
@@ -204,64 +239,37 @@ def train_loop(
     state = AdamWState.init((n, flat[n]) for n in opt_names)
 
     steps = train_cfg.total_tokens // train_cfg.batch_tokens
-    metrics = metrics_path.open("w", buffering=1)
-    metrics.write("step,tokens,lr,loss,grad_norm\n")
     tokens_seen = 0
     loss_value = float("nan")
     step = 0
-    for step in range(1, steps + 1):
-        rng = rng_stream(train_cfg.seed, f"batch/{step}")
-        batch = batch_fn(step, rng)
-        if not batch:
-            raise TrainingFault(f"empty batch at step {step}")
+    with metrics_path.open("w", buffering=1) as metrics:
+        metrics.write("step,tokens,lr,loss,grad_norm\n")
+        for step in range(1, steps + 1):
+            rng = rng_stream(train_cfg.seed, f"batch/{step}")
+            try:
+                batch = batch_fn(step, rng)
+                loss_value, grad_flat = _batch_loss_and_grads(params, model_cfg, batch)
+                opt_grads = {n: grad_flat[n] for n in opt_names}
+                _, grad_norm = clip_grad_norm(opt_grads, train_cfg.clip_norm)
+            except TrainingFault as e:
+                # every fault stops the run the same way: metrics.csv is closed
+                # (by the with block) and fault.txt says what went wrong where
+                (out / "fault.txt").write_text(f"step {step}: {e}\n")
+                raise TrainingFault(f"step {step}: {e}") from e
+            tokens_seen += train_cfg.batch_tokens
+            lr = lr_schedule(tokens_seen, train_cfg)
+            adamw_step(flat, opt_grads, state, lr, train_cfg)
 
-        grads = zeros_like_model(params)
-        grad_flat = dict(named_parameters(grads))
-        total_weight = 0.0
-        for seq, mask in batch:
-            total_weight += float(np.asarray(mask[1:], dtype=np.float64).sum())
-        if total_weight <= 0:
-            raise TrainingFault(f"batch at step {step} has no scored positions")
+            if step % train_cfg.log_every == 0 or step == steps:
+                row = _format_row(step, tokens_seen, lr, loss_value, grad_norm)
+                metrics.write(row + "\n")
+                if log is not None:
+                    log(row)
+            if train_cfg.checkpoint_interval and step % train_cfg.checkpoint_interval == 0:
+                save_model(params, ckpt_path)
+            if stop_fn is not None and stop_fn(step, params):
+                break
 
-        loss_acc = 0.0
-        for seq, mask in batch:
-            seq = np.asarray(seq)
-            w = np.asarray(mask[1:], dtype=np.float64)
-            if not w.any():
-                continue
-            logits, acts = model_fwd(seq[:-1], params, model_cfg)
-            _, per_pos = cross_entropy(logits, seq[1:])
-            loss_acc += float((per_pos * w).sum())
-            share = float(w.sum() / total_weight)  # python float: keeps f32 grads f32
-            d_logits = cross_entropy_bwd(logits, seq[1:], w) * share
-            g = model_bwd(acts, d_logits, params, model_cfg)
-            for name, a in named_parameters(g):
-                grad_flat[name] += a
-        loss_value = loss_acc / total_weight
-        if not math.isfinite(loss_value):
-            (out / "fault.txt").write_text(
-                f"step {step}: non-finite loss {loss_value}\n"
-            )
-            metrics.close()
-            raise TrainingFault(f"non-finite loss {loss_value} at step {step}")
-
-        opt_grads = {n: grad_flat[n] for n in opt_names}
-        _, grad_norm = clip_grad_norm(opt_grads, train_cfg.clip_norm)
-        tokens_seen += train_cfg.batch_tokens
-        lr = lr_schedule(tokens_seen, train_cfg)
-        adamw_step(flat, opt_grads, state, lr, train_cfg)
-
-        if step % train_cfg.log_every == 0 or step == steps:
-            row = _format_row(step, tokens_seen, lr, loss_value, grad_norm)
-            metrics.write(row + "\n")
-            if log is not None:
-                log(row)
-        if train_cfg.checkpoint_interval and step % train_cfg.checkpoint_interval == 0:
-            save_model(params, ckpt_path)
-        if stop_fn is not None and stop_fn(step, params):
-            break
-
-    metrics.close()
     save_model(params, ckpt_path)
     return TrainResult(
         params=params,

@@ -15,7 +15,6 @@ from foxattn.attention import (
     fgattn_bwd,
     fgattn_fwd,
     fixed_gate_from_alibi_slope,
-    mha_fwd,
     rope_apply,
     rope_unapply,
 )
@@ -233,6 +232,23 @@ def test_inputs_validation():
         AttentionInputs(q=q, k=q, v=q, logf=np.array([0.0, 0.2, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "logf",
+    [
+        np.array([-0.1, np.nan, -0.2]),
+        np.array([-0.1, -np.inf, -0.2]),
+        np.full(3, -1e308),  # each finite, but the prefix sum overflows
+    ],
+    ids=["nan", "neg_inf", "sum_overflow"],
+)
+def test_non_finite_gates_rejected_at_the_boundary(logf):
+    q = np.ones((3, 2))
+    with pytest.raises(ValueError):
+        AttentionInputs(q=q, k=q, v=q, logf=logf)
+    with pytest.raises(ValueError):
+        decay_bias(logf)
+
+
 def test_default_scale():
     q = np.zeros((3, 16))
     inp = AttentionInputs(q=q, k=q, v=q, logf=np.zeros(3))
@@ -269,16 +285,3 @@ def test_rope_dot_products_depend_on_relative_position():
 def test_rope_odd_dim_rejected():
     with pytest.raises(ShapeError):
         rope_apply(np.zeros((2, 3)), 500000.0)
-
-
-def test_mha_runs_heads_independently():
-    rng = np.random.default_rng(12)
-    heads = [_rand_inputs(rng, 5, 2) for _ in range(3)]
-    outs = mha_fwd(heads)
-    assert len(outs) == 3
-    for h, o in zip(heads, outs):
-        np.testing.assert_array_equal(o, fgattn_fwd(h))
-    with pytest.raises(ShapeError):
-        mha_fwd([])
-    with pytest.raises(ShapeError):
-        mha_fwd([heads[0], _rand_inputs(rng, 6, 2)])

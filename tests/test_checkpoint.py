@@ -1,10 +1,15 @@
 """Unit tests for the flat binary checkpoint format."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import foxattn
 from foxattn.checkpoint import MAGIC, load_model, load_tensors, save_model, save_tensors
 from foxattn.errors import CheckpointError
 from foxattn.layer import GateMode
@@ -55,6 +60,38 @@ def test_empty_dict_round_trip(tmp_path):
 def test_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(CheckpointError):
         save_tensors({"x": np.zeros(2, dtype=np.int64)}, tmp_path / "x.ckpt")
+
+
+# Saves a large tensor under a 4 KiB file-size limit, as a full disk would cut
+# it short; exits 3 when the save raised OSError.
+_SAVE_UNDER_FILE_SIZE_LIMIT = """
+import resource, signal, sys
+import numpy as np
+from foxattn.checkpoint import save_tensors
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
+try:
+    save_tensors({"x": np.zeros(100_000, dtype=np.float32)}, sys.argv[1])
+except OSError:
+    sys.exit(3)
+"""
+
+
+def test_failed_write_leaves_previous_checkpoint_intact(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_tensors({"x": np.arange(6, dtype=np.float32)}, p)
+    before = p.read_bytes()
+    env = dict(os.environ, PYTHONPATH=str(Path(foxattn.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _SAVE_UNDER_FILE_SIZE_LIMIT, str(p)],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert run.returncode == 3, run.stderr.decode()
+    assert p.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [p]  # no temp file left behind
 
 
 def test_rejects_bad_magic(tmp_path):

@@ -68,20 +68,19 @@ def test_forget_gates_modes():
     x = rng.normal(size=(6, 4))
     mode_dd = GateMode(kind="data_dependent")
     params = init_layer_params(LayerConfig(4, 1, 2), mode_dd, rng, dtype=np.float64)
-    head = params.heads[0]
 
-    f, logf = forget_gates(x, mode_dd, head)
-    z = x @ head.gate_w + head.gate_b[0]
-    np.testing.assert_allclose(f, 1.0 / (1.0 + np.exp(-z)), atol=1e-12)
-    np.testing.assert_allclose(logf, np.log(f), atol=1e-12)
+    f, logf = forget_gates(x, mode_dd, params)
+    z = x @ params.gate_w[0] + params.gate_b[0]
+    np.testing.assert_allclose(f[0], 1.0 / (1.0 + np.exp(-z)), atol=1e-12)
+    np.testing.assert_allclose(logf[0], np.log(f[0]), atol=1e-12)
 
-    f1, logf1 = forget_gates(x, GateMode(kind="none"), head)
+    f1, logf1 = forget_gates(x, GateMode(kind="none"), params)
     assert np.all(f1 == 1.0) and np.all(logf1 == 0.0)
 
     mode_di = GateMode(kind="data_independent")
     params_di = init_layer_params(LayerConfig(4, 1, 2), mode_di, rng, dtype=np.float64)
-    f2, _ = forget_gates(x, mode_di, params_di.heads[0])
-    assert np.all(f2 == f2[0])
+    f2, _ = forget_gates(x, mode_di, params_di)
+    assert np.all(f2[0] == f2[0][0])
 
 
 def test_gate_mode_validation():
@@ -147,18 +146,18 @@ def _oracle_pro_layer(x, params, cfg_eps=1e-6):
     log(sigmoid), textbook softmax. float64 only.
     """
     L, d = x.shape
-    dh = params.heads[0].w_q.shape[0]
+    dh = params.w_q[0].shape[0]
     y = np.zeros((L, d))
-    for h, head in enumerate(params.heads):
-        q_pre = x @ head.w_q.T
-        k_raw = x @ head.w_k.T
-        v_raw = x @ head.w_v.T
+    for h in range(params.w_q.shape[0]):
+        q_pre = x @ params.w_q[h].T
+        k_raw = x @ params.w_k[h].T
+        v_raw = x @ params.w_v[h].T
 
         k_mix = np.zeros_like(k_raw)
         v_mix = np.zeros_like(v_raw)
         for t in range(L):
-            ak = 1.0 / (1.0 + np.exp(-(x[t] @ head.shift_k)))
-            av = 1.0 / (1.0 + np.exp(-(x[t] @ head.shift_v)))
+            ak = 1.0 / (1.0 + np.exp(-(x[t] @ params.shift_k[h])))
+            av = 1.0 / (1.0 + np.exp(-(x[t] @ params.shift_v[h])))
             prev_k = k_raw[t - 1] if t > 0 else np.zeros(dh)
             prev_v = v_raw[t - 1] if t > 0 else np.zeros(dh)
             k_mix[t] = ak * prev_k + (1 - ak) * k_raw[t]
@@ -167,11 +166,11 @@ def _oracle_pro_layer(x, params, cfg_eps=1e-6):
         q = np.zeros_like(q_pre)
         k = np.zeros_like(k_mix)
         for t in range(L):
-            q[t] = head.q_gamma * q_pre[t] / np.sqrt(np.mean(q_pre[t] ** 2) + cfg_eps)
-            k[t] = head.k_gamma * k_mix[t] / np.sqrt(np.mean(k_mix[t] ** 2) + cfg_eps)
+            q[t] = params.q_gamma[h] * q_pre[t] / np.sqrt(np.mean(q_pre[t] ** 2) + cfg_eps)
+            k[t] = params.k_gamma[h] * k_mix[t] / np.sqrt(np.mean(k_mix[t] ** 2) + cfg_eps)
 
         logf = np.array(
-            [np.log(1.0 / (1.0 + np.exp(-(x[t] @ head.gate_w + head.gate_b[0])))) for t in range(L)]
+            [np.log(1.0 / (1.0 + np.exp(-(x[t] @ params.gate_w[h] + params.gate_b[h])))) for t in range(L)]
         )
         c = np.cumsum(logf)
         o = np.zeros((L, dh))
@@ -183,8 +182,8 @@ def _oracle_pro_layer(x, params, cfg_eps=1e-6):
 
         u = np.zeros((L, dh))
         for t in range(L):
-            on = head.out_gamma * o[t] / np.sqrt(np.mean(o[t] ** 2) + cfg_eps)
-            g = 1.0 / (1.0 + np.exp(-(head.w_g @ x[t])))
+            on = params.out_gamma[h] * o[t] / np.sqrt(np.mean(o[t] ** 2) + cfg_eps)
+            g = 1.0 / (1.0 + np.exp(-(params.w_g[h] @ x[t])))
             u[t] = on * g
         y += u @ params.w_o[:, h * dh : (h + 1) * dh].T
     return y
@@ -215,7 +214,7 @@ def test_pro_layer_tiled_backend_matches_naive():
 def _oracle_llama_layer(x, params, rope_theta=None):
     """Literal plain-projection layer, optional pairwise rotation."""
     L, d = x.shape
-    dh = params.heads[0].w_q.shape[0]
+    dh = params.w_q[0].shape[0]
 
     def rot(vec, pos):
         out = vec.copy()
@@ -227,10 +226,10 @@ def _oracle_llama_layer(x, params, rope_theta=None):
         return out
 
     y = np.zeros((L, d))
-    for h, head in enumerate(params.heads):
-        q = x @ head.w_q.T
-        k = x @ head.w_k.T
-        v = x @ head.w_v.T
+    for h in range(params.w_q.shape[0]):
+        q = x @ params.w_q[h].T
+        k = x @ params.w_k[h].T
+        v = x @ params.w_v[h].T
         if rope_theta is not None:
             q = np.stack([rot(q[t], t) for t in range(L)])
             k = np.stack([rot(k[t], t) for t in range(L)])
@@ -281,6 +280,11 @@ def _layer_loss(x, params, mode, cfg, d_y):
     return float(np.sum(d_y * y))
 
 
+def _head(stacked, h):
+    """Head h's slice of a stacked parameter, as a view (gate_b stays 1-D)."""
+    return stacked[h] if stacked.ndim > 1 else stacked[h : h + 1]
+
+
 def _perturbed(params, path, idx, h):
     import copy
 
@@ -288,7 +292,7 @@ def _perturbed(params, path, idx, h):
     if path[0] == "w_o":
         p2.w_o[idx] += h
     else:
-        getattr(p2.heads[path[1]], path[0])[idx] += h
+        _head(getattr(p2, path[0]), path[1])[idx] += h
     return p2
 
 
@@ -314,10 +318,9 @@ def test_layer_backward_matches_central_differences_pro():
     names = ["w_q", "w_k", "w_v", "w_g", "shift_k", "shift_v", "gate_w", "gate_b",
              "q_gamma", "k_gamma", "out_gamma"]
     for hn in range(2):
-        head_g = grads.heads[hn]
         for name in names:
-            a = getattr(params.heads[hn], name)
-            got = getattr(head_g, name)
+            a = _head(getattr(params, name), hn)
+            got = _head(getattr(grads, name), hn)
             for idx in list(np.ndindex(a.shape))[:3]:
                 num = (
                     _layer_loss(x, _perturbed(params, (name, hn), idx, h), mode, cfg, d_y)
@@ -350,7 +353,7 @@ def test_layer_backward_matches_central_differences_llama_rope():
         num = (_layer_loss(xp, params, mode, cfg, d_y) - _layer_loss(xm, params, mode, cfg, d_y)) / (2 * h)
         np.testing.assert_allclose(dx[idx], num, atol=2e-5)
     for hn in range(2):
-        got = grads.heads[hn].gate_b
+        got = _head(grads.gate_b, hn)
         gp = _perturbed(params, ("gate_b", hn), (0,), h)
         gm = _perturbed(params, ("gate_b", hn), (0,), -h)
         num = (_layer_loss(x, gp, mode, cfg, d_y) - _layer_loss(x, gm, mode, cfg, d_y)) / (2 * h)
@@ -365,8 +368,8 @@ def test_fixed_gate_gradient_stays_zero():
     x = rng.normal(size=(6, 4))
     _, acts = pro_layer_fwd(x, params, mode, cfg)
     _, grads = layer_bwd(acts, rng.normal(size=(6, 4)), params, mode, cfg)
-    for hg in grads.heads:
-        assert np.all(hg.gate_b == 0.0)
+    for hn in range(2):
+        assert np.all(_head(grads.gate_b, hn) == 0.0)
 
 
 def test_logf_cap_clamps_forward_and_blocks_backward():
@@ -377,7 +380,7 @@ def test_logf_cap_clamps_forward_and_blocks_backward():
     params = init_layer_params(base, mode, rng, dtype=np.float64)
     x = rng.normal(size=(6, 4))
     _, acts = pro_layer_fwd(x, params, mode, capped)
-    assert np.all(acts.heads[0].logf <= -1.0 + 1e-12)
+    assert np.all(acts.logf[0] <= -1.0 + 1e-12)
     y_base, _ = pro_layer_fwd(x, params, mode, base)
     y_cap, _ = pro_layer_fwd(x, params, mode, capped)
     assert np.abs(y_base - y_cap).max() > 0.0
@@ -390,23 +393,23 @@ def test_init_layer_params_contents():
     cfg = LayerConfig.pro(8, 4, 2)
     mode = GateMode(kind="data_dependent")
     p = init_layer_params(cfg, mode, rng)
-    assert len(p.heads) == 4
+    assert len(p.w_q) == 4
     assert p.w_o.shape == (8, 8) and p.w_o.dtype == np.float32
-    for h in p.heads:
-        assert h.w_q.shape == (2, 8)
-        assert np.all(h.q_gamma == 1.0) and np.all(h.out_gamma == 1.0)
-        assert h.gate_b.shape == (1,) and h.gate_b[0] == 0.0
+    for h in range(4):
+        assert p.w_q[h].shape == (2, 8)
+        assert np.all(p.q_gamma[h] == 1.0) and np.all(p.out_gamma[h] == 1.0)
+        assert p.gate_b[h : h + 1].shape == (1,) and p.gate_b[h] == 0.0
 
     mode_fx = GateMode(kind="fixed", t_min=2.0, t_max=128.0)
     p_fx = init_layer_params(cfg, mode_fx, rng)
-    got = np.array([h.gate_b[0] for h in p_fx.heads], dtype=np.float64)
+    got = np.array([p_fx.gate_b[h] for h in range(4)], dtype=np.float64)
     want = forget_gate_init(2.0, 128.0, 4)
     np.testing.assert_allclose(got, want, atol=1e-6)
-    assert all(h.gate_w is None for h in p_fx.heads)
+    assert p_fx.gate_w is None
 
     mode_none = GateMode(kind="none")
     p_none = init_layer_params(cfg, mode_none, rng)
-    assert all(h.gate_b is None and h.gate_w is None for h in p_none.heads)
+    assert p_none.gate_b is None and p_none.gate_w is None
 
 
 def test_missing_parameters_rejected():
@@ -414,7 +417,7 @@ def test_missing_parameters_rejected():
     cfg = LayerConfig.pro(4, 1, 4)
     mode = GateMode(kind="data_dependent")
     params = init_layer_params(cfg, mode, rng, dtype=np.float64)
-    params.heads[0].gate_w = None
+    params.gate_w = None
     with pytest.raises(ConfigError):
         pro_layer_fwd(np.zeros((3, 4)), params, mode, cfg)
 
@@ -424,6 +427,6 @@ def test_zeros_like_layer_mirrors_structure():
     cfg = LayerConfig.pro(4, 2, 2)
     params = init_layer_params(cfg, GateMode(kind="data_independent"), rng)
     z = zeros_like_layer(params)
-    assert z.heads[0].gate_w is None
-    assert z.heads[1].gate_b.shape == (1,) and z.heads[1].gate_b[0] == 0.0
+    assert z.gate_w is None
+    assert z.gate_b[1:2].shape == (1,) and z.gate_b[1] == 0.0
     assert np.all(z.w_o == 0.0)

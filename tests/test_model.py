@@ -111,6 +111,30 @@ def test_named_parameters_gated_head_fields():
         assert f"blocks.0.attn.heads.0.{fieldname}" in names
 
 
+def test_named_parameters_are_views_of_the_stacked_heads(tmp_path):
+    from foxattn.checkpoint import load_model, save_model
+
+    cfg = _small_cfg(arch="pro", gate_mode=GateMode(kind="data_dependent"))
+    params = init_model_params(cfg, seed=0, dtype=np.float64)
+    fresh = init_model_params(cfg, seed=0, dtype=np.float64).blocks[0].attn
+    flat = dict(named_parameters(params))
+    flat["blocks.0.attn.heads.1.w_q"] += 0.5
+    flat["blocks.0.attn.heads.1.gate_b"] -= 2.0
+    flat["blocks.0.attn.heads.0.out_gamma"] *= 3.0
+    attn = params.blocks[0].attn
+    np.testing.assert_array_equal(attn.w_q[0], fresh.w_q[0])
+    np.testing.assert_array_equal(attn.w_q[1], fresh.w_q[1] + 0.5)
+    np.testing.assert_array_equal(attn.gate_b, [0.0, -2.0])
+    np.testing.assert_array_equal(attn.out_gamma, [[3.0] * 4, [1.0] * 4])
+
+    save_model(params, tmp_path / "m.ckpt")
+    loaded = load_model(cfg, tmp_path / "m.ckpt")
+    for name in ("w_q", "gate_b", "out_gamma", "w_o"):
+        got = getattr(loaded.blocks[0].attn, name)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, getattr(attn, name))
+
+
 def test_init_determinism_and_spread():
     cfg = _small_cfg(arch="pro", gate_mode=GateMode(kind="data_dependent"))
     a = dict(named_parameters(init_model_params(cfg, seed=7)))
@@ -196,6 +220,18 @@ def test_cross_entropy_validation():
         cross_entropy(logits, np.array([0, 1, 4]))
     with pytest.raises(ValueError):
         cross_entropy(logits, np.array([0, 1, 2]), weights=np.zeros(3))
+
+
+def test_cross_entropy_bwd_validates_targets_like_the_forward():
+    logits = np.zeros((3, 4))
+    with pytest.raises(ShapeError):
+        cross_entropy_bwd(np.zeros(4), np.array([0]))
+    with pytest.raises(ShapeError):
+        cross_entropy_bwd(logits, np.array([0, 1]))
+    with pytest.raises(ValueError):
+        cross_entropy_bwd(logits, np.array([0, -1, 2]))
+    with pytest.raises(ValueError):
+        cross_entropy_bwd(logits, np.array([0, 1, 4]))
 
 
 def test_cross_entropy_bwd_matches_central_differences():

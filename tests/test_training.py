@@ -278,6 +278,25 @@ def test_train_loop_unscored_batch_faults(tmp_path):
         train_loop(mc, tc, fn, tmp_path)
 
 
+def test_train_loop_non_finite_gradient_writes_fault(tmp_path, monkeypatch):
+    import foxattn.training as training
+
+    real_bwd = training.model_bwd
+
+    def nan_bwd(*args, **kwargs):
+        grads = real_bwd(*args, **kwargs)
+        grads.head_w[0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "model_bwd", nan_bwd)
+    mc = _tiny_model_cfg()
+    tc = TrainConfig(total_tokens=64, batch_tokens=32, seq_len=16, warmup_tokens=0)
+    with pytest.raises(TrainingFault, match="gradient"):
+        train_loop(mc, tc, _copy_batch_fn(16, 4, 8, 2), tmp_path)
+    assert (tmp_path / "fault.txt").read_text().startswith("step 1: ")
+    assert (tmp_path / "metrics.csv").read_text() == "step,tokens,lr,loss,grad_norm\n"
+
+
 def test_train_loop_fixed_gate_biases_never_move(tmp_path):
     mc = _tiny_model_cfg(gate_mode=GateMode(kind="fixed"))
     tc = TrainConfig(
