@@ -18,7 +18,7 @@ from .attention import (
     rope_apply,
 )
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingFault
-from .gla import FeatureMapSpec, gla_parallel, gla_recurrent, phi_feature
+from .gla import gla_parallel, gla_recurrent, phi_feature
 from .kernels import (
     cumsum_fwd,
     cumsum_rev,

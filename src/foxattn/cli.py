@@ -21,7 +21,7 @@ from . import gradcheck as gc
 from . import verify
 from .checkpoint import load_model, load_tensors
 from .config import RunConfig, apply_overrides, parse_config_file
-from .errors import CheckpointError, ConfigError
+from .errors import ConfigError
 from .evaluation import (
     NeedleSpec,
     eval_token_losses,
@@ -58,6 +58,24 @@ def _write_resolved(cfg: RunConfig, out: Path, command: str) -> None:
     (out / f"{command}.config.txt").write_text(cfg.resolved_lines())
 
 
+def _needle_spec(cfg: RunConfig, haystack_len: int, depth: float) -> NeedleSpec:
+    """Needle task shape from the needle.* keys and the model's vocabulary."""
+    v = cfg.values
+    return NeedleSpec(
+        haystack_len=haystack_len,
+        depth=depth,
+        key_len=int(v["needle.key_len"]),
+        value_len=int(v["needle.value_len"]),
+        easy_mode=bool(v["needle.easy_mode"]),
+        vocab_size=int(v["model.vocab_size"]),
+    )
+
+
+def _needle_len(cfg: RunConfig) -> int:
+    """Tokens of a needle task taken by the key and value, not the haystack."""
+    return int(cfg.values["needle.key_len"]) + int(cfg.values["needle.value_len"])
+
+
 def _batch_fn(cfg: RunConfig):
     """Build the deterministic batch generator for the configured task."""
     v = cfg.values
@@ -76,24 +94,14 @@ def _batch_fn(cfg: RunConfig):
 
         return fn
     if task == "needle":
-        key_len = int(v["needle.key_len"])
-        value_len = int(v["needle.value_len"])
-        easy = bool(v["needle.easy_mode"])
         random_depth = bool(v["needle.train_depth_random"])
-        hay = seq_len - key_len - value_len
+        hay = seq_len - _needle_len(cfg)
 
         def fn(step: int, rng: np.random.Generator):
             batch = []
             for _ in range(n_seqs):
                 depth = float(rng.random()) if random_depth else 0.5
-                spec = NeedleSpec(
-                    haystack_len=hay,
-                    depth=depth,
-                    key_len=key_len,
-                    value_len=value_len,
-                    easy_mode=easy,
-                    vocab_size=vocab,
-                )
+                spec = _needle_spec(cfg, hay, depth)
                 tokens, answer = gen_needle_task(spec, rng)
                 batch.append((tokens, needle_loss_mask(spec, answer)))
             return batch
@@ -158,14 +166,7 @@ def _eval_sequences(cfg: RunConfig) -> list[np.ndarray]:
         if task == "copy":
             tokens, _ = gen_copy_task(rng, seq_len, int(v["copy.copy_len"]), vocab)
         elif task == "needle":
-            spec = NeedleSpec(
-                haystack_len=seq_len - int(v["needle.key_len"]) - int(v["needle.value_len"]),
-                depth=float(rng.random()),
-                key_len=int(v["needle.key_len"]),
-                value_len=int(v["needle.value_len"]),
-                easy_mode=bool(v["needle.easy_mode"]),
-                vocab_size=vocab,
-            )
+            spec = _needle_spec(cfg, seq_len - _needle_len(cfg), float(rng.random()))
             tokens, _ = gen_needle_task(spec, rng)
         else:
             raise ConfigError(f"unknown eval.task {task!r}")
@@ -205,17 +206,8 @@ def cmd_needle(args) -> int:
     model_cfg = cfg.model_config()
     params = load_model(model_cfg, args.ckpt)
     v = cfg.values
-    base = NeedleSpec(
-        haystack_len=max(
-            int(v["eval.seq_len"]) - int(v["needle.key_len"]) - int(v["needle.value_len"]),
-            int(v["needle.key_len"]) + int(v["needle.value_len"]),
-        ),
-        depth=0.5,
-        key_len=int(v["needle.key_len"]),
-        value_len=int(v["needle.value_len"]),
-        easy_mode=bool(v["needle.easy_mode"]),
-        vocab_size=int(v["model.vocab_size"]),
-    )
+    needle = _needle_len(cfg)
+    base = _needle_spec(cfg, max(int(v["eval.seq_len"]) - needle, needle), 0.5)
     lengths = [int(x) for x in v["needle_eval.lengths"]]
     depths = [float(x) for x in v["needle_eval.depths"]]
     trials = int(v["needle_eval.trials"])
@@ -350,7 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError) as e:
+        # a config value the library rejects is a config error too; ConfigError,
+        # CheckpointError and ShapeError all subclass ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

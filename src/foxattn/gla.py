@@ -12,34 +12,19 @@ implemented independently and must agree; F is evaluated as
 exp(c_i - c_j) from float64 cumulative log sums, never as a running product
 of gates, so long strongly-decayed products do not underflow stepwise.
 
+phi is the shifted ELU applied to q and k rows: u + 1 for u > 0, exp(u)
+otherwise. It is continuous, strictly positive and keeps the head dim.
+
 This module is an equivalence oracle, not a training path: everything runs
 in float64 and inputs are upcast on entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
 from .kernels import cumsum_fwd
-
-
-@dataclass(frozen=True)
-class FeatureMapSpec:
-    """Positive feature map applied to q and k rows.
-
-    The only supported kind is "shifted_elu": u + 1 for u > 0, exp(u)
-    otherwise. Continuous, strictly positive, identity-sized (d' equals the
-    head dim).
-    """
-
-    kind: str = "shifted_elu"
-
-    def __post_init__(self) -> None:
-        if self.kind != "shifted_elu":
-            raise ValueError(f"unknown feature map kind {self.kind!r}")
 
 
 def phi_feature(x: np.ndarray) -> np.ndarray:
@@ -73,7 +58,6 @@ def gla_recurrent(
     q: np.ndarray,
     v: np.ndarray,
     f: np.ndarray,
-    spec: FeatureMapSpec = FeatureMapSpec(),
 ) -> np.ndarray:
     """Stepwise evaluation with the decayed state matrix S and normalizer z."""
     k, q, v, f = _check_gla_inputs(k, q, v, f)
@@ -99,7 +83,6 @@ def gla_parallel(
     q: np.ndarray,
     v: np.ndarray,
     f: np.ndarray,
-    spec: FeatureMapSpec = FeatureMapSpec(),
 ) -> np.ndarray:
     """Closed-form evaluation over the full decay matrix F_ij = exp(c_i - c_j)."""
     k, q, v, f = _check_gla_inputs(k, q, v, f)

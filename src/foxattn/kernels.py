@@ -87,14 +87,14 @@ def rmsnorm(x: np.ndarray, gamma: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    exp(min(x, 0)) / (1 + exp(-|x|)) is 1 / (1 + exp(-x)) for x >= 0 and
+    exp(x) / (1 + exp(x)) for x < 0, so neither exponential can overflow and
+    no branch needs a mask.
+    """
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return np.asarray(np.exp(np.minimum(x, 0)) / (1 + np.exp(-np.abs(x))))
 
 
 def log_sigmoid(x: np.ndarray) -> np.ndarray:

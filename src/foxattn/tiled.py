@@ -8,14 +8,17 @@ Per query row it also emits lse_i = m + log l, which the backward uses to
 reconstruct probabilities tile by tile (P = exp(S - lse)) without a second
 normalization pass.
 
-The backward runs two passes so every output slice is written by exactly one
-loop iteration: a key-block pass producing dK, dV, and the key share of dc,
-then a query-block pass producing dQ and the query share. No reduction is
-shared across iterations, so the passes could run their blocks in parallel
-without atomics.
+The backward walks the same causal tiles in the same order, query block
+outer and key block inner, and computes each tile's P, dP and dS once, as
+the FlashAttention-2 backward does. Every tile adds its share into dQ and
+the query share of dc for its rows, and into dK, dV and the key share of dc
+for its columns; all five start at zero. Blocks run one after another, so
+these shared sums need no atomics, and each output slice receives its terms
+in ascending block order.
 
 Peak transient memory per call is O(B_r * B_c + B_r * d), independent of L.
-Pass a BufferMeter to have each tile's scratch allocations recorded.
+Pass a BufferMeter to tiled_fwd to have each tile's scratch allocations
+recorded.
 """
 
 from __future__ import annotations
@@ -142,9 +145,8 @@ def tiled_bwd(
     aux: ForwardAux,
     d_out: np.ndarray,
     cfg: TileConfig,
-    meter: BufferMeter | None = None,
 ) -> AttentionGrads:
-    """Streaming backward from saved (O, lse, c); recomputes score tiles only."""
+    """Streaming backward from saved (O, lse, c); recomputes each score tile once."""
     n, d = inp.q.shape
     if out.shape != (n, d) or d_out.shape != (n, d):
         raise ShapeError("out/d_out must match q's shape")
@@ -154,45 +156,23 @@ def tiled_bwd(
     scale = np.asarray(inp.scale, dtype=dtype)
     delta = np.sum(d_out * out, axis=1)
 
+    dq = np.zeros((n, d), dtype=dtype)
     dk = np.zeros((n, d), dtype=dtype)
     dv = np.zeros((n, d), dtype=dtype)
-    dc_k = np.zeros(n, dtype=np.float64)
-    for c0, c1 in _blocks(n, cfg.k_block):
-        dk_j = np.zeros((c1 - c0, d), dtype=dtype)
-        dv_j = np.zeros((c1 - c0, d), dtype=dtype)
-        dc_j = np.zeros(c1 - c0, dtype=np.float64)
-        for r0, r1 in _blocks(n, cfg.q_block):
-            if r1 - 1 < c0:
-                continue  # whole query block precedes this key block
-            p = _tile_probs(inp, aux, r0, r1, c0, c1)
-            dp = d_out[r0:r1] @ inp.v[c0:c1].T
-            ds = p * (dp - delta[r0:r1, None])
-            dv_j += p.T @ d_out[r0:r1]
-            dk_j += scale * (ds.T @ inp.q[r0:r1])
-            dc_j -= ds.sum(axis=0)
-            if meter is not None:
-                meter.record(p, dp, ds, dk_j, dv_j, dc_j)
-        dk[c0:c1] = dk_j
-        dv[c0:c1] = dv_j
-        dc_k[c0:c1] = dc_j
-
-    dq = np.zeros((n, d), dtype=dtype)
     dc_q = np.zeros(n, dtype=np.float64)
+    dc_k = np.zeros(n, dtype=np.float64)
     for r0, r1 in _blocks(n, cfg.q_block):
-        dq_i = np.zeros((r1 - r0, d), dtype=dtype)
-        dc_i = np.zeros(r1 - r0, dtype=np.float64)
         for c0, c1 in _blocks(n, cfg.k_block):
             if c0 > r1 - 1:
-                break
+                break  # tile is entirely above the diagonal, as are all later ones
             p = _tile_probs(inp, aux, r0, r1, c0, c1)
             dp = d_out[r0:r1] @ inp.v[c0:c1].T
             ds = p * (dp - delta[r0:r1, None])
-            dq_i += scale * (ds @ inp.k[c0:c1])
-            dc_i += ds.sum(axis=1)
-            if meter is not None:
-                meter.record(p, dp, ds, dq_i, dc_i)
-        dq[r0:r1] = dq_i
-        dc_q[r0:r1] = dc_i
+            dv[c0:c1] += p.T @ d_out[r0:r1]
+            dk[c0:c1] += scale * (ds.T @ inp.q[r0:r1])
+            dq[r0:r1] += scale * (ds @ inp.k[c0:c1])
+            dc_k[c0:c1] -= ds.sum(axis=0)
+            dc_q[r0:r1] += ds.sum(axis=1)
 
     dlogf = cumsum_rev(dc_q + dc_k).astype(np.asarray(inp.logf).dtype)
     dlogf[0] = 0.0  # exact: a common shift of c never changes the bias

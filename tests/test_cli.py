@@ -209,6 +209,14 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_config_value_rejected_by_the_library_exits_two(tmp_path, capsys):
+    # a copy task needs seq_len >= 2 * copy_len + 2; the config parser does
+    # not know that, the task generator does
+    rc = cli.main(["train", "--out", str(tmp_path)] + TRAIN_SET + ["--set", "train.seq_len=10"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_exits_two(tmp_path, capsys):
     rc = cli.main(
         ["eval", "--ckpt", str(tmp_path / "nope.ckpt"), "--out", str(tmp_path)]

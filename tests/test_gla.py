@@ -9,17 +9,11 @@ import numpy as np
 import pytest
 
 from foxattn.errors import ShapeError
-from foxattn.gla import FeatureMapSpec, gla_parallel, gla_recurrent, phi_feature
+from foxattn.gla import gla_parallel, gla_recurrent, phi_feature
 
 
 def _rel_diff(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-12)
-
-
-def test_feature_map_spec_validation():
-    FeatureMapSpec()
-    with pytest.raises(ValueError):
-        FeatureMapSpec(kind="relu")
 
 
 def test_phi_frozen_values():

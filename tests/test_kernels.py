@@ -139,13 +139,24 @@ def test_sigmoid_frozen_and_stable():
     np.testing.assert_allclose(sigmoid(np.array(np.log(3.0))), 0.75, atol=1e-15)
     with np.errstate(over="raise"):
         big = sigmoid(np.array([-1000.0, 1000.0]))
+        edges = sigmoid(np.array([0.0, -0.0, np.inf, -np.inf]))
     np.testing.assert_allclose(big, [0.0, 1.0], atol=1e-300)
+    np.testing.assert_array_equal(edges, [0.5, 0.5, 1.0, 0.0])
+    zero_d = sigmoid(np.array(0.0, dtype=np.float32))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert zero_d.dtype == np.float32
 
 
 def test_sigmoid_symmetry():
     rng = np.random.default_rng(5)
     x = rng.normal(scale=4.0, size=50)
     np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
+    # stacked (H, L, dh) float32, as the layer's gates use it
+    x32 = rng.normal(scale=4.0, size=(3, 7, 5)).astype(np.float32)
+    y32 = sigmoid(x32)
+    assert y32.dtype == np.float32 and y32.shape == x32.shape
+    np.testing.assert_allclose(y32 + sigmoid(-x32), 1.0, atol=1e-6)
+    np.testing.assert_allclose(y32, 1.0 / (1.0 + np.exp(-x32.astype(np.float64))), rtol=1e-6)
 
 
 def test_log_sigmoid_frozen():

@@ -8,6 +8,7 @@ shape, including tiles of one and tiles larger than the sequence.
 import numpy as np
 import pytest
 
+from foxattn import tiled
 from foxattn.attention import AttentionInputs, fgattn_bwd, fgattn_fwd
 from foxattn.errors import ConfigError, ShapeError
 from foxattn.tiled import BufferMeter, TileConfig, tiled_bwd, tiled_fwd
@@ -81,6 +82,34 @@ def test_backward_equals_reference():
             a, b = getattr(got, name), getattr(want, name)
             denom = max(np.abs(b).max(), 1e-12)
             assert np.abs(a - b).max() / denom < 1e-8, (name, n, qb, kb)
+
+
+@pytest.mark.parametrize(
+    "n, tiles",
+    [(13, (1, 1)), (13, (1, 4)), (13, (5, 4)), (13, (4, 5)), (13, (20, 30)), (64, (16, 16))],
+)
+def test_backward_builds_each_causal_tile_once(monkeypatch, n, tiles):
+    """The backward scores every tile on or below the diagonal exactly once,
+    as the forward does."""
+    qb, kb = tiles
+    # per query block [r0, r1): the key blocks starting at or before row r1 - 1
+    causal = sum(-(-min(r0 + qb, n) // kb) for r0 in range(0, n, qb))
+    calls = []
+    real = tiled._masked_scores
+
+    def counting(inp, c, r0, r1, c0, c1):
+        calls.append((r0, c0))
+        return real(inp, c, r0, r1, c0, c1)
+
+    monkeypatch.setattr(tiled, "_masked_scores", counting)
+    rng = np.random.default_rng(n)
+    inp = _rand_inputs(rng, n, 3)
+    o, aux = tiled_fwd(inp, TileConfig(qb, kb))
+    fwd_calls = list(calls)
+    calls.clear()
+    tiled_bwd(inp, o, aux, rng.normal(size=o.shape), TileConfig(qb, kb))
+    assert len(fwd_calls) == causal
+    assert calls == fwd_calls
 
 
 def test_backward_first_gate_gradient_zero():
