@@ -16,6 +16,24 @@ for its columns; all five start at zero. Blocks run one after another, so
 these shared sums need no atomics, and each output slice receives its terms
 in ascending block order.
 
+Key tiles the forget gate has already zeroed are skipped, in the spirit of
+adaptive computation pruning for FoX. For query block [r0, r1) and a key
+block ending at e < r0, every score satisfies
+
+    S_ij <= |scale| * max_i ||q_i|| * max_{j<r1} ||k_j|| + c[r0] - c[e]
+
+because c never increases, and every row max is at least the block's
+smallest diagonal score min_i scale * q_i . k_i, because the diagonal key is
+always visited. When the first bound minus that floor is below
+log(eps / L), with eps the working dtype's machine epsilon, every
+probability in the block is below eps / L, so each row loses less than eps
+of its normalizer. The bound only grows with e, so the skipped key blocks
+form a prefix: each query block starts its key loop at the first kept
+block, and the block holding the diagonal is always kept. Forward and
+backward share that start, so the backward visits exactly the forward's
+tiles in the same order. Tiles wholly below the diagonal need no causal
+mask and skip the masking work.
+
 Peak transient memory per call is O(B_r * B_c + B_r * d), independent of L.
 Pass a BufferMeter to tiled_fwd to have each tile's scratch allocations
 recorded.
@@ -23,6 +41,7 @@ recorded.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +59,19 @@ class TileConfig:
     k_block: int = 64
 
     def __post_init__(self) -> None:
-        if self.q_block < 1 or self.k_block < 1:
-            raise ConfigError(f"tile sizes must be >= 1, got {self}")
+        for size in (self.q_block, self.k_block):
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+                raise ConfigError(f"tile sizes must be integers >= 1, got {self}")
 
 
 class BufferMeter:
     """Records per-iteration scratch allocations; peak_bytes is the largest
-    simultaneously-live set recorded by a single call site."""
+    simultaneously-live set recorded by a single call site.
+
+    tiled_fwd records once per tile it computes, so after one forward call
+    `calls` is the number of tiles visited, skipped tiles excluded. None
+    entries (the absent mask of a tile below the diagonal) count zero bytes.
+    """
 
     def __init__(self) -> None:
         self.peak_bytes = 0
@@ -54,13 +79,45 @@ class BufferMeter:
 
     def record(self, *arrays: np.ndarray) -> None:
         self.calls += 1
-        total = sum(int(a.nbytes) for a in arrays)
+        total = sum(int(a.nbytes) for a in arrays if a is not None)
         if total > self.peak_bytes:
             self.peak_bytes = total
 
 
 def _blocks(length: int, size: int) -> list[tuple[int, int]]:
     return [(s, min(s + size, length)) for s in range(0, length, size)]
+
+
+def _first_kept_blocks(inp: AttentionInputs, c: np.ndarray, cfg: TileConfig) -> np.ndarray:
+    """Index of the first key block each query block visits.
+
+    Skips the leading key blocks whose probabilities the bound in the module
+    docstring puts below eps / L; vectorised over query blocks.
+    """
+    n = inp.q.shape[0]
+    r0 = np.arange(0, n, cfg.q_block)
+    first = np.zeros(r0.size, dtype=np.intp)
+    if n == 0 or r0[-1] < cfg.k_block:
+        return first  # no key block ends before any query block starts
+    log_tol = np.log(np.finfo(inp.q.dtype).eps / n)
+    # The score term of the bound is >= 0, so if the most-decayed candidate
+    # (last query block, first key block) fails on decay alone, all do.
+    if c[r0[-1]] - c[cfg.k_block - 1] >= log_tol:
+        return first
+    qq, kk, qk = (
+        np.einsum("ij,ij->i", a, b, dtype=np.float64)
+        for a, b in ((inp.q, inp.q), (inp.k, inp.k), (inp.q, inp.k))
+    )
+    r1 = np.minimum(r0 + cfg.q_block, n)
+    q_norm = np.maximum.reduceat(np.sqrt(qq), r0)
+    k_norm = np.maximum.accumulate(np.sqrt(kk))[r1 - 1]
+    floor = np.minimum.reduceat(inp.scale * qk, r0)
+    slack = abs(inp.scale) * q_norm * k_norm - floor
+    # Key block j is skipped when c[e_j] > c[r0] + slack - log_tol; c[e_j]
+    # never increases with j, so a sorted search counts the skipped prefix.
+    ends = c[cfg.k_block - 1 :: cfg.k_block]
+    skipped = np.searchsorted(-ends, log_tol - slack - c[r0], side="left")
+    return np.minimum(skipped, r0 // cfg.k_block)
 
 
 def _masked_scores(
@@ -70,16 +127,20 @@ def _masked_scores(
     r1: int,
     c0: int,
     c1: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Score tile S[r0:r1, c0:c1] with decay bias and causal mask applied.
 
-    Returns (S, valid). The bias difference is taken in float64 before the
-    cast to working precision, matching the reference path's construction.
+    Returns (S, valid). valid is None for a tile wholly below the diagonal,
+    where every entry is valid. The bias difference is taken in float64
+    before the cast to working precision, matching the reference path's
+    construction.
     """
     dtype = inp.q.dtype
     s = inp.q[r0:r1] @ inp.k[c0:c1].T
     s *= np.asarray(inp.scale, dtype=dtype)
     s += (c[r0:r1, None] - c[None, c0:c1]).astype(dtype)
+    if c1 - 1 <= r0:
+        return s, None
     valid = np.arange(r0, r1)[:, None] >= np.arange(c0, c1)[None, :]
     s = np.where(valid, s, neg_inf(dtype)).astype(dtype, copy=False)
     return s, valid
@@ -94,33 +155,37 @@ def tiled_fwd(
     c = cumsum_fwd(inp.logf)
     out = np.empty((n, d), dtype=dtype)
     lse = np.empty(n, dtype=dtype)
-    for r0, r1 in _blocks(n, cfg.q_block):
-        rows = r1 - r0
-        m = np.full(rows, -np.inf, dtype=dtype)
-        ell = np.zeros(rows, dtype=dtype)
-        acc = np.zeros((rows, d), dtype=dtype)
-        for c0, c1 in _blocks(n, cfg.k_block):
-            if c0 > r1 - 1:
-                break  # tile is entirely above the diagonal, as are all later ones
-            s, valid = _masked_scores(inp, c, r0, r1, c0, c1)
-            tile_max = s.max(axis=1)
-            has_valid = valid.any(axis=1)
-            # Rows with no valid key in this tile must not pull the finite
-            # mask sentinel into the running max: exp(sentinel - m) would be
-            # exp(0) = 1 on the next tile.
-            m_new = np.where(has_valid, np.maximum(m, tile_max), m)
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    k_blocks = _blocks(n, cfg.k_block)
+    first = _first_kept_blocks(inp, c, cfg)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for (r0, r1), j0 in zip(_blocks(n, cfg.q_block), first):
+            rows = r1 - r0
+            m = np.full(rows, -np.inf, dtype=dtype)
+            ell = np.zeros(rows, dtype=dtype)
+            acc = np.zeros((rows, d), dtype=dtype)
+            for c0, c1 in k_blocks[j0:]:
+                if c0 > r1 - 1:
+                    break  # tile is entirely above the diagonal, as are all later ones
+                s, valid = _masked_scores(inp, c, r0, r1, c0, c1)
+                tile_max = s.max(axis=1)
+                m_new = np.maximum(m, tile_max)
+                if valid is not None:
+                    # Rows with no valid key in this tile must not pull the
+                    # finite mask sentinel into the running max:
+                    # exp(sentinel - m) would be exp(0) = 1 on the next tile.
+                    m_new = np.where(valid.any(axis=1), m_new, m)
                 # exp(-inf - anything) = 0 covers the first tile for a row.
                 alpha = np.where(m == -np.inf, 0.0, np.exp(m - m_new)).astype(dtype)
                 p = np.exp(s - m_new[:, None])
-            p = np.where(valid, p, 0.0).astype(dtype, copy=False)
-            ell = alpha * ell + p.sum(axis=1)
-            acc = alpha[:, None] * acc + p @ inp.v[c0:c1]
-            m = m_new
-            if meter is not None:
-                meter.record(s, valid, p, acc, alpha, ell, m, tile_max)
-        out[r0:r1] = acc / ell[:, None]
-        lse[r0:r1] = m + np.log(ell)
+                if valid is not None:
+                    p = np.where(valid, p, 0.0).astype(dtype, copy=False)
+                ell = alpha * ell + p.sum(axis=1)
+                acc = alpha[:, None] * acc + p @ inp.v[c0:c1]
+                m = m_new
+                if meter is not None:
+                    meter.record(s, valid, p, acc, alpha, ell, m, tile_max)
+            out[r0:r1] = acc / ell[:, None]
+            lse[r0:r1] = m + np.log(ell)
     return out, ForwardAux(lse=lse, c=c)
 
 
@@ -134,9 +199,10 @@ def _tile_probs(
 ) -> np.ndarray:
     """Probability tile P = exp(S - lse) with masked entries exactly zero."""
     s, valid = _masked_scores(inp, aux.c, r0, r1, c0, c1)
-    with np.errstate(over="ignore", under="ignore"):
-        p = np.exp(s - aux.lse[r0:r1, None])
-    return np.where(valid, p, 0.0).astype(s.dtype, copy=False)
+    p = np.exp(s - aux.lse[r0:r1, None])
+    if valid is not None:
+        p = np.where(valid, p, 0.0)
+    return p.astype(s.dtype, copy=False)
 
 
 def tiled_bwd(
@@ -146,7 +212,8 @@ def tiled_bwd(
     d_out: np.ndarray,
     cfg: TileConfig,
 ) -> AttentionGrads:
-    """Streaming backward from saved (O, lse, c); recomputes each score tile once."""
+    """Streaming backward from saved (O, lse, c); recomputes each of the
+    forward's score tiles once."""
     n, d = inp.q.shape
     if out.shape != (n, d) or d_out.shape != (n, d):
         raise ShapeError("out/d_out must match q's shape")
@@ -161,18 +228,21 @@ def tiled_bwd(
     dv = np.zeros((n, d), dtype=dtype)
     dc_q = np.zeros(n, dtype=np.float64)
     dc_k = np.zeros(n, dtype=np.float64)
-    for r0, r1 in _blocks(n, cfg.q_block):
-        for c0, c1 in _blocks(n, cfg.k_block):
-            if c0 > r1 - 1:
-                break  # tile is entirely above the diagonal, as are all later ones
-            p = _tile_probs(inp, aux, r0, r1, c0, c1)
-            dp = d_out[r0:r1] @ inp.v[c0:c1].T
-            ds = p * (dp - delta[r0:r1, None])
-            dv[c0:c1] += p.T @ d_out[r0:r1]
-            dk[c0:c1] += scale * (ds.T @ inp.q[r0:r1])
-            dq[r0:r1] += scale * (ds @ inp.k[c0:c1])
-            dc_k[c0:c1] -= ds.sum(axis=0)
-            dc_q[r0:r1] += ds.sum(axis=1)
+    k_blocks = _blocks(n, cfg.k_block)
+    first = _first_kept_blocks(inp, aux.c, cfg)
+    with np.errstate(over="ignore", under="ignore"):
+        for (r0, r1), j0 in zip(_blocks(n, cfg.q_block), first):
+            for c0, c1 in k_blocks[j0:]:
+                if c0 > r1 - 1:
+                    break  # tile is entirely above the diagonal, as are all later ones
+                p = _tile_probs(inp, aux, r0, r1, c0, c1)
+                dp = d_out[r0:r1] @ inp.v[c0:c1].T
+                ds = p * (dp - delta[r0:r1, None])
+                dv[c0:c1] += p.T @ d_out[r0:r1]
+                dk[c0:c1] += scale * (ds.T @ inp.q[r0:r1])
+                dq[r0:r1] += scale * (ds @ inp.k[c0:c1])
+                dc_k[c0:c1] -= ds.sum(axis=0)
+                dc_q[r0:r1] += ds.sum(axis=1)
 
     dlogf = cumsum_rev(dc_q + dc_k).astype(np.asarray(inp.logf).dtype)
     dlogf[0] = 0.0  # exact: a common shift of c never changes the bias

@@ -183,3 +183,99 @@ def test_causality_in_streaming_path():
             TileConfig(8, 8),
         )
         assert np.abs(pert[:t] - base[:t]).max() <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [(1.5, 2), (64.0, 64), (True, 4), (4, False), ("8", 8)])
+def test_tile_config_rejects_non_integer_sizes(bad):
+    with pytest.raises(ConfigError):
+        TileConfig(*bad)
+
+
+def test_tile_config_accepts_numpy_integers():
+    cfg = TileConfig(np.int64(5), np.int32(3))
+    rng = np.random.default_rng(8)
+    inp = _rand_inputs(rng, 11, 2)
+    out, _ = tiled_fwd(inp, cfg)
+    np.testing.assert_allclose(out, fgattn_fwd(inp), atol=1e-12)
+
+
+def _strong_decay_inputs(rng, n, d, dtype):
+    inp = _rand_inputs(rng, n, d, dtype)
+    logf = (-1.0 - np.abs(rng.normal(scale=2.0, size=n))).astype(dtype)
+    return AttentionInputs(q=inp.q, k=inp.k, v=inp.v, logf=logf)
+
+
+def _causal_tiles(n, qb, kb):
+    return [
+        (r0, c0)
+        for r0 in range(0, n, qb)
+        for c0 in range(0, n, kb)
+        if c0 <= min(r0 + qb, n) - 1
+    ]
+
+
+def _visited_tiles(monkeypatch, inp, cfg, d_out):
+    """(forward tiles, backward tiles, O, grads), each tile as (r0, c0)."""
+    calls = []
+    real = tiled._masked_scores
+
+    def counting(inp, c, r0, r1, c0, c1):
+        calls.append((r0, c0))
+        return real(inp, c, r0, r1, c0, c1)
+
+    monkeypatch.setattr(tiled, "_masked_scores", counting)
+    o, aux = tiled_fwd(inp, cfg)
+    fwd_calls = list(calls)
+    calls.clear()
+    grads = tiled_bwd(inp, o, aux, d_out, cfg)
+    return fwd_calls, list(calls), o, grads
+
+
+@pytest.mark.parametrize(
+    "dtype, fwd_tol, bwd_tol", [(np.float64, 1e-12, 1e-8), (np.float32, 1e-5, 1e-4)]
+)
+@pytest.mark.parametrize("n, tiles", [(96, (16, 16)), (75, (8, 5)), (40, (1, 3))])
+def test_strong_decay_skips_tiles_and_matches_reference(
+    monkeypatch, dtype, fwd_tol, bwd_tol, n, tiles
+):
+    """Tiles the gate has zeroed are skipped, the backward visits the
+    forward's tiles in the forward's order, and both still match the
+    materialized route."""
+    rng = np.random.default_rng(n)
+    inp = _strong_decay_inputs(rng, n, 4, dtype)
+    d_out = rng.normal(size=(n, 4)).astype(dtype)
+    fwd_calls, bwd_calls, o, got = _visited_tiles(monkeypatch, inp, TileConfig(*tiles), d_out)
+    assert len(fwd_calls) < len(_causal_tiles(n, *tiles))
+    assert bwd_calls == fwd_calls
+    assert np.abs(o - fgattn_fwd(inp)).max() <= fwd_tol
+    want = fgattn_bwd(inp, fgattn_fwd(inp), d_out)
+    for name in ("dq", "dk", "dv", "dlogf"):
+        a = np.asarray(getattr(got, name), np.float64)
+        b = np.asarray(getattr(want, name), np.float64)
+        assert np.abs(a - b).max() / max(np.abs(b).max(), 1e-12) < bwd_tol, name
+
+
+@pytest.mark.parametrize("n, tiles", [(96, (16, 16)), (75, (8, 5)), (40, (1, 3))])
+def test_skipped_tiles_hold_less_than_eps_over_length(monkeypatch, n, tiles):
+    """Oracle for the skip bound: every materialized probability inside a
+    skipped tile is below eps / L."""
+    qb, kb = tiles
+    rng = np.random.default_rng(n + 1)
+    inp = _strong_decay_inputs(rng, n, 4, np.float64)
+    fwd_calls, _, _, _ = _visited_tiles(monkeypatch, inp, TileConfig(qb, kb), np.zeros((n, 4)))
+    skipped = set(_causal_tiles(n, qb, kb)) - set(fwd_calls)
+    assert skipped
+    _, p = fgattn_fwd(inp, return_probs=True)
+    for r0, c0 in skipped:
+        assert p[r0 : r0 + qb, c0 : c0 + kb].max() < np.finfo(np.float64).eps / n
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unit_gates_skip_no_tile(monkeypatch, dtype):
+    """With every gate at 1 nothing decays, so every causal tile is visited."""
+    n, tiles = 70, (8, 8)
+    rng = np.random.default_rng(9)
+    inp = _rand_inputs(rng, n, 4, dtype)
+    inp = AttentionInputs(q=inp.q, k=inp.k, v=inp.v, logf=np.zeros(n, dtype=dtype))
+    fwd_calls, bwd_calls, _, _ = _visited_tiles(monkeypatch, inp, TileConfig(*tiles), inp.v)
+    assert fwd_calls == bwd_calls == _causal_tiles(n, *tiles)
