@@ -41,7 +41,7 @@ def _check_log_gates(logf: np.ndarray) -> None:
 class AttentionInputs:
     """One head's attention inputs for a length-L sequence.
 
-    q, k, v are L x d in the same working precision; logf holds the
+    q, k, v are L x d (L >= 1) in the same working precision; logf holds the
     per-position log forget gates (logf_t = log f_t <= 0). scale defaults to
     1/sqrt(d); pass scale=1.0 to disable head-dim scaling.
     """
@@ -61,6 +61,8 @@ class AttentionInputs:
             raise ShapeError(
                 f"q/k/v shapes differ: {self.q.shape} {self.k.shape} {self.v.shape}"
             )
+        if self.q.shape[0] == 0:
+            raise ShapeError("empty sequence: attention needs L >= 1")
         if self.q.dtype != self.k.dtype or self.q.dtype != self.v.dtype:
             raise ValueError("q/k/v must share one precision")
         logf = np.asarray(self.logf)

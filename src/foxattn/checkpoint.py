@@ -12,6 +12,10 @@ Layout, all integers little-endian:
         payload  raw little-endian row-major values
 
 Round trips are bit-exact: save(load(p)) reproduces the file bytes.
+
+Model checkpoints keep one record per attention head and field
+(model.per_head_parameters); the rest of the package names a layer's heads
+as one stacked tensor.
 """
 
 from __future__ import annotations
@@ -99,20 +103,20 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def save_model(params, path: str | Path) -> None:
-    """Save model parameters under their canonical names."""
-    from .model import named_parameters
+    """Save model parameters in the per-head checkpoint layout."""
+    from .model import per_head_parameters
 
-    save_tensors(dict(named_parameters(params)), path)
+    save_tensors(dict(per_head_parameters(params)), path)
 
 
 def load_model(cfg, path: str | Path):
     """Rebuild ModelParams for cfg from a checkpoint; shapes must match."""
-    from .model import init_model_params, named_parameters
+    from .model import init_model_params, per_head_parameters
 
     tensors = load_tensors(path)
     dtype = next(iter(tensors.values())).dtype if tensors else np.float32
     params = init_model_params(cfg, seed=0, dtype=dtype)
-    expected = dict(named_parameters(params))
+    expected = dict(per_head_parameters(params))
     missing = [n for n in expected if n not in tensors]
     if missing:
         raise CheckpointError(f"missing tensors for this config: {missing[:5]}")

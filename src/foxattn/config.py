@@ -8,7 +8,7 @@ registered for the key (int, float, bool, str, or a comma list of numbers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -84,47 +84,22 @@ class RunConfig:
             raise ConfigError(f"{where}: unknown config key {key!r}")
         self.values[key] = _convert(key, raw, self.values[key], where)
 
+    def _build(self, cls, prefix: str, **special):
+        """cls from every prefix.<field> key that names one of its fields."""
+        kw = {
+            f.name: self.values[prefix + f.name]
+            for f in fields(cls)
+            if prefix + f.name in self.values
+        }
+        return cls(**{**kw, **special})
+
     def model_config(self) -> ModelConfig:
         v = self.values
-        mode = GateMode(
-            kind=str(v["model.gate_mode"]),
-            t_min=float(v["model.t_min"]),
-            t_max=float(v["model.t_max"]),
-        )
-        return ModelConfig(
-            n_layers=int(v["model.n_layers"]),
-            d_model=int(v["model.d_model"]),
-            n_heads=int(v["model.n_heads"]),
-            d_head=int(v["model.d_head"]),
-            vocab_size=int(v["model.vocab_size"]),
-            max_train_len=int(v["model.max_train_len"]),
-            arch=str(v["model.arch"]),
-            gate_mode=mode,
-            mlp_ratio=float(v["model.mlp_ratio"]),
-            rope=bool(v["model.rope"]),
-            rope_theta=float(v["model.rope_theta"]),
-            runtime_len_cap=int(v["model.runtime_len_cap"]),
-            backend=str(v["model.backend"]),
-            tile=int(v["model.tile"]),
-        )
+        mode = GateMode(v["model.gate_mode"], v["model.t_min"], v["model.t_max"])
+        return self._build(ModelConfig, "model.", gate_mode=mode)
 
     def train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            total_tokens=int(v["train.total_tokens"]),
-            batch_tokens=int(v["train.batch_tokens"]),
-            seq_len=int(v["train.seq_len"]),
-            peak_lr=float(v["train.peak_lr"]),
-            warmup_tokens=int(v["train.warmup_tokens"]),
-            beta1=float(v["train.beta1"]),
-            beta2=float(v["train.beta2"]),
-            eps=float(v["train.eps"]),
-            weight_decay=float(v["train.weight_decay"]),
-            clip_norm=float(v["train.clip_norm"]),
-            seed=int(v["run.seed"]),
-            checkpoint_interval=int(v["train.checkpoint_interval"]),
-            log_every=int(v["train.log_every"]),
-        )
+        return self._build(TrainConfig, "train.", seed=self.values["run.seed"])
 
     def resolved_lines(self) -> str:
         out = []

@@ -22,7 +22,7 @@ from .model import (
     init_model_params,
     model_bwd,
     model_fwd,
-    named_parameters,
+    per_head_parameters,
 )
 from .rng import rng_stream
 from .tiled import TileConfig, tiled_bwd, tiled_fwd
@@ -180,9 +180,9 @@ def check_model(
     logits, acts = model_fwd(tokens[:-1], params, cfg)
     d_logits = cross_entropy_bwd(logits, tokens[1:], weights)
     grads = model_bwd(acts, d_logits, params, cfg)
-    gmap = dict(named_parameters(grads))
+    gmap = dict(per_head_parameters(grads))
     worst = 0.0
-    for name, arr in named_parameters(params):
+    for name, arr in per_head_parameters(params):  # head by head
         if cfg.gate_mode.kind == "fixed" and name.endswith(GATE_BIAS):
             continue
         worst = max(worst, rel_max_err(gmap[name], central_diff(run, arr)))

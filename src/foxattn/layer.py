@@ -20,8 +20,9 @@ Parameters are stacked over heads: LayerParams holds one tensor per kind
 with a leading head axis H (w_q is H x d_head x d_model, gate_b has H
 entries), so projections, norms, shifts and gates run for all heads at once.
 Only the attention core runs head by head, on the 2-D one-head kernels. The
-model's named_parameters() exposes each head's slice as a view under the
-name blocks.<i>.attn.heads.<h>.<field>.
+model names each stacked tensor whole (blocks.<i>.attn.<field>) everywhere
+except the checkpoint, whose per-head records blocks.<i>.attn.heads.<h>.<field>
+model.per_head_parameters() builds.
 
 The backward pass is hand-written and exact. It consumes the activations
 saved by the forward and recomputes nothing except attention score tiles

@@ -8,11 +8,10 @@ block's parameter count matches the plain ("llama") block at the same width,
 making architecture comparisons parameter-for-parameter fair.
 
 All parameters are reachable through named_parameters(), which defines the
-canonical flat names used by the optimizer and the checkpoint format. Each
-layer stores its heads stacked (see layer.LayerParams); named_parameters()
-yields every head's slice as a view named blocks.<i>.attn.heads.<h>.<field>,
-so in-place updates through the flat names (optimizer steps, gradient
-accumulation, checkpoint loads) write straight into the stacked tensors.
+canonical flat names. A layer's heads are stacked (see layer.LayerParams) and
+named as one tensor, blocks.<i>.attn.<field>, everywhere except the
+checkpoint, whose frozen layout per_head_parameters() builds from per-head
+views named blocks.<i>.attn.heads.<h>.<field>.
 """
 
 from __future__ import annotations
@@ -194,13 +193,8 @@ def named_parameters(params: ModelParams):
     yield "embed", params.embed
     for i, blk in enumerate(params.blocks):
         yield f"blocks.{i}.attn_norm.gamma", blk.attn_gamma
-        stacked = blk.attn.head_tensors()
-        for h in range(blk.attn.w_q.shape[0]):
-            for name, a in stacked:
-                # views, so writes through the flat names land in the stack;
-                # a[h : h + 1] keeps the one-number-per-head gate bias 1-D
-                view = a[h] if a.ndim > 1 else a[h : h + 1]
-                yield f"blocks.{i}.attn.heads.{h}.{name}", view
+        for name, a in blk.attn.head_tensors():
+            yield f"blocks.{i}.attn.{name}", a
         yield f"blocks.{i}.attn.w_o", blk.attn.w_o
         yield f"blocks.{i}.mlp_norm.gamma", blk.mlp_gamma
         yield f"blocks.{i}.mlp.w_in", blk.w_in
@@ -208,6 +202,27 @@ def named_parameters(params: ModelParams):
         yield f"blocks.{i}.mlp.w_out", blk.w_out
     yield "final_norm.gamma", params.final_gamma
     yield "head.w", params.head_w
+
+
+def per_head_parameters(params: ModelParams):
+    """Yield (name, array) in the checkpoint's frozen per-head layout.
+
+    named_parameters() order, with each layer's stacked head tensors split
+    into views blocks.<i>.attn.heads.<h>.<field>, head by head, ahead of w_o
+    (so writes through these names land in the stacks). A gate bias stays
+    1-D: one (1,) view per head.
+    """
+    stacked = []  # the current layer's head tensors, held until its w_o
+    for name, a in named_parameters(params):
+        prefix, _, leaf = name.rpartition(".")
+        if prefix.endswith(".attn") and leaf != "w_o":
+            stacked.append((leaf, a))
+            continue
+        for h in range(len(stacked[0][1]) if stacked else 0):
+            for field_name, s in stacked:
+                yield f"{prefix}.heads.{h}.{field_name}", s[h] if s.ndim > 1 else s[h : h + 1]
+        stacked = []
+        yield name, a
 
 
 def param_count(params: ModelParams) -> int:

@@ -97,7 +97,7 @@ def _first_kept_blocks(inp: AttentionInputs, c: np.ndarray, cfg: TileConfig) -> 
     n = inp.q.shape[0]
     r0 = np.arange(0, n, cfg.q_block)
     first = np.zeros(r0.size, dtype=np.intp)
-    if n == 0 or r0[-1] < cfg.k_block:
+    if r0[-1] < cfg.k_block:
         return first  # no key block ends before any query block starts
     log_tol = np.log(np.finfo(inp.q.dtype).eps / n)
     # The score term of the bound is >= 0, so if the most-decayed candidate

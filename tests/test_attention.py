@@ -230,6 +230,9 @@ def test_inputs_validation():
         AttentionInputs(q=q, k=q, v=q, logf=np.zeros(4))
     with pytest.raises(ValueError):
         AttentionInputs(q=q, k=q, v=q, logf=np.array([0.0, 0.2, 0.0]))
+    empty = np.zeros((0, 4))  # both routes would fail deep inside on L = 0
+    with pytest.raises(ShapeError, match="empty"):
+        AttentionInputs(q=empty, k=empty, v=empty, logf=np.zeros(0))
 
 
 @pytest.mark.parametrize(

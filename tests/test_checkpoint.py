@@ -129,6 +129,33 @@ def _cfg(**kw):
     return ModelConfig(**base)
 
 
+def test_model_checkpoint_layout_frozen(tmp_path):
+    """Init checkpoint records of a 2-head pro / data_dependent model: per-head
+    names head by head ahead of w_o, each gate bias a (1,) record."""
+    p = tmp_path / "m.ckpt"
+    save_model(init_model_params(_cfg(), seed=0), p)
+    head = [
+        ("w_q", (4, 8)), ("w_k", (4, 8)), ("w_v", (4, 8)), ("w_g", (4, 8)),
+        ("shift_k", (8,)), ("shift_v", (8,)), ("gate_w", (8,)), ("gate_b", (1,)),
+        ("q_gamma", (4,)), ("k_gamma", (4,)), ("out_gamma", (4,)),
+    ]
+    expected = [
+        ("embed", (8, 8)),
+        ("blocks.0.attn_norm.gamma", (8,)),
+        *[(f"blocks.0.attn.heads.{h}.{f}", s) for h in (0, 1) for f, s in head],
+        ("blocks.0.attn.w_o", (8, 8)),
+        ("blocks.0.mlp_norm.gamma", (8,)),
+        ("blocks.0.mlp.w_in", (16, 8)),
+        ("blocks.0.mlp.w_gate", (16, 8)),
+        ("blocks.0.mlp.w_out", (8, 16)),
+        ("final_norm.gamma", (8,)),
+        ("head.w", (8, 8)),
+    ]
+    records = load_tensors(p)
+    assert [(n, a.shape) for n, a in records.items()] == expected
+    assert all(a.dtype == np.float32 for a in records.values())
+
+
 def test_model_round_trip(tmp_path):
     cfg = _cfg()
     params = init_model_params(cfg, seed=3)

@@ -1,5 +1,7 @@
 """Tests for the flat key=value run configuration."""
 
+from dataclasses import fields
+
 import pytest
 
 from foxattn.config import DEFAULTS, RunConfig, apply_overrides, parse_config_file
@@ -160,6 +162,59 @@ def test_train_config_takes_seed_from_run_section():
     assert tc.seed == 11
     assert tc.seq_len == 64
     assert tc.peak_lr == 1e-2
+
+
+# A valid non-default value for every key that feeds ModelConfig or TrainConfig.
+_NON_DEFAULT = {
+    "model.n_layers": "3",
+    "model.d_model": "72",
+    "model.n_heads": "6",
+    "model.d_head": "12",
+    "model.vocab_size": "20",
+    "model.max_train_len": "300",
+    "model.arch": "llama",
+    "model.gate_mode": "fixed",
+    "model.t_min": "4",
+    "model.t_max": "64",
+    "model.mlp_ratio": "3.0",
+    "model.rope": "true",
+    "model.rope_theta": "10000",
+    "model.runtime_len_cap": "4096",
+    "model.backend": "naive",
+    "model.tile": "32",
+    "train.total_tokens": "2000",
+    "train.batch_tokens": "256",
+    "train.seq_len": "64",
+    "train.peak_lr": "1e-3",
+    "train.warmup_tokens": "100",
+    "train.beta1": "0.8",
+    "train.beta2": "0.9",
+    "train.eps": "1e-6",
+    "train.weight_decay": "0.0",
+    "train.clip_norm": "2.0",
+    "train.checkpoint_interval": "5",
+    "train.log_every": "3",
+    "run.seed": "11",
+}
+
+
+def test_every_field_key_reaches_the_built_config():
+    cfg = apply_overrides(RunConfig(), [f"{k}={v}" for k, v in _NON_DEFAULT.items()])
+    mc, tc = cfg.model_config(), cfg.train_config()
+    reached = {
+        "model.gate_mode": mc.gate_mode.kind,
+        "model.t_min": mc.gate_mode.t_min,
+        "model.t_max": mc.gate_mode.t_max,
+        "run.seed": tc.seed,
+    }
+    for prefix, built in (("model.", mc), ("train.", tc)):
+        for f in fields(built):
+            if prefix + f.name in DEFAULTS:
+                reached.setdefault(prefix + f.name, getattr(built, f.name))
+    assert set(reached) == set(_NON_DEFAULT)
+    for key, got in reached.items():
+        assert got == cfg[key] != DEFAULTS[key], key
+        assert type(got) is type(DEFAULTS[key]), key
 
 
 def test_resolved_lines_roundtrip(tmp_path):

@@ -15,6 +15,7 @@ from foxattn.model import (
     model_fwd,
     named_parameters,
     param_count,
+    per_head_parameters,
     zeros_like_model,
 )
 
@@ -83,8 +84,22 @@ def test_param_count_frozen():
 
 def test_named_parameters_canonical_names():
     params = init_model_params(_small_cfg(), seed=0)
-    names = [n for n, _ in named_parameters(params)]
-    assert names == [
+    named = [(n, a.shape) for n, a in named_parameters(params)]
+    assert named == [
+        ("embed", (11, 8)),
+        ("blocks.0.attn_norm.gamma", (8,)),
+        ("blocks.0.attn.w_q", (2, 4, 8)),
+        ("blocks.0.attn.w_k", (2, 4, 8)),
+        ("blocks.0.attn.w_v", (2, 4, 8)),
+        ("blocks.0.attn.w_o", (8, 8)),
+        ("blocks.0.mlp_norm.gamma", (8,)),
+        ("blocks.0.mlp.w_in", (16, 8)),
+        ("blocks.0.mlp.w_gate", (16, 8)),
+        ("blocks.0.mlp.w_out", (8, 16)),
+        ("final_norm.gamma", (8,)),
+        ("head.w", (8, 11)),
+    ]
+    assert [n for n, _ in per_head_parameters(params)] == [
         "embed",
         "blocks.0.attn_norm.gamma",
         "blocks.0.attn.heads.0.w_q",
@@ -105,30 +120,36 @@ def test_named_parameters_canonical_names():
 
 def test_named_parameters_gated_head_fields():
     cfg = _small_cfg(arch="pro", gate_mode=GateMode(kind="data_dependent"))
-    names = {n for n, _ in named_parameters(init_model_params(cfg, seed=0))}
+    params = init_model_params(cfg, seed=0)
+    named = dict(named_parameters(params))
+    per_head = {n for n, _ in per_head_parameters(params)}
     for fieldname in ("w_g", "shift_k", "shift_v", "gate_w", "gate_b",
                       "q_gamma", "k_gamma", "out_gamma"):
-        assert f"blocks.0.attn.heads.0.{fieldname}" in names
+        assert named[f"blocks.0.attn.{fieldname}"].shape[0] == 2
+        assert f"blocks.0.attn.heads.0.{fieldname}" in per_head
 
 
-def test_named_parameters_are_views_of_the_stacked_heads(tmp_path):
+def test_per_head_checkpoint_views_follow_the_stacked_heads(tmp_path):
     from foxattn.checkpoint import load_model, save_model
 
     cfg = _small_cfg(arch="pro", gate_mode=GateMode(kind="data_dependent"))
     params = init_model_params(cfg, seed=0, dtype=np.float64)
     fresh = init_model_params(cfg, seed=0, dtype=np.float64).blocks[0].attn
     flat = dict(named_parameters(params))
-    flat["blocks.0.attn.heads.1.w_q"] += 0.5
-    flat["blocks.0.attn.heads.1.gate_b"] -= 2.0
-    flat["blocks.0.attn.heads.0.out_gamma"] *= 3.0
-    attn = params.blocks[0].attn
-    np.testing.assert_array_equal(attn.w_q[0], fresh.w_q[0])
-    np.testing.assert_array_equal(attn.w_q[1], fresh.w_q[1] + 0.5)
-    np.testing.assert_array_equal(attn.gate_b, [0.0, -2.0])
-    np.testing.assert_array_equal(attn.out_gamma, [[3.0] * 4, [1.0] * 4])
+    flat["blocks.0.attn.w_q"][1] += 0.5
+    flat["blocks.0.attn.gate_b"][1] -= 2.0
+    flat["blocks.0.attn.out_gamma"][0] *= 3.0
+    per_head = dict(per_head_parameters(params))
+    np.testing.assert_array_equal(per_head["blocks.0.attn.heads.0.w_q"], fresh.w_q[0])
+    np.testing.assert_array_equal(per_head["blocks.0.attn.heads.1.w_q"], fresh.w_q[1] + 0.5)
+    np.testing.assert_array_equal(per_head["blocks.0.attn.heads.0.gate_b"], [0.0])
+    np.testing.assert_array_equal(per_head["blocks.0.attn.heads.1.gate_b"], [-2.0])
+    np.testing.assert_array_equal(per_head["blocks.0.attn.heads.0.out_gamma"], [3.0] * 4)
+    np.testing.assert_array_equal(per_head["blocks.0.attn.heads.1.out_gamma"], [1.0] * 4)
 
     save_model(params, tmp_path / "m.ckpt")
     loaded = load_model(cfg, tmp_path / "m.ckpt")
+    attn = params.blocks[0].attn
     for name in ("w_q", "gate_b", "out_gamma", "w_o"):
         got = getattr(loaded.blocks[0].attn, name)
         assert got.dtype == np.float64
@@ -144,7 +165,7 @@ def test_init_determinism_and_spread():
         np.testing.assert_array_equal(a[n], b[n])
     assert any(not np.array_equal(a[n], c[n]) for n in a)
     # weight std close to 0.02, norm scales exactly 1
-    w = a["blocks.0.attn.heads.0.w_q"]
+    w = a["blocks.0.attn.w_q"][0]
     assert 0.005 < w.std() < 0.05
     assert np.all(a["final_norm.gamma"] == 1.0)
     assert a["embed"].dtype == np.float32
@@ -263,8 +284,8 @@ def test_model_backward_matches_central_differences():
     d_logits = cross_entropy_bwd(logits, targets, weights)
     grads = model_bwd(acts, d_logits, params, cfg)
 
-    flat_p = dict(named_parameters(params))
-    flat_g = dict(named_parameters(grads))
+    flat_p = dict(per_head_parameters(params))
+    flat_g = dict(per_head_parameters(grads))
 
     def loss():
         lg, _ = model_fwd(tokens, params, cfg)
