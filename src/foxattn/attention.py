@@ -7,7 +7,13 @@ between key j and query i) and is masked above the diagonal:
 
     O = softmax(scale * Q K^T + D) V
 
-Everything here materializes the full L x L score matrix; the streaming
+Queries may cover a suffix of the sequence: q holds the last n <= L
+positions (row i is position L - n + i) while k, v and logf cover all L, so a
+caller that reads only the last rows of O skips the queries before them. O,
+lse and dq then have n rows; dk, dv and dlogf keep L. With n == L this is
+ordinary self-attention.
+
+Everything here materializes the full n x L score matrix; the streaming
 version that never does lives in tiled.py.
 """
 
@@ -41,9 +47,11 @@ def _check_log_gates(logf: np.ndarray) -> None:
 class AttentionInputs:
     """One head's attention inputs for a length-L sequence.
 
-    q, k, v are L x d (L >= 1) in the same working precision; logf holds the
-    per-position log forget gates (logf_t = log f_t <= 0). scale defaults to
-    1/sqrt(d); pass scale=1.0 to disable head-dim scaling.
+    k and v are L x d (L >= 1) and q is n x d with 1 <= n <= L, all in the
+    same working precision: q's row i is the query at position L - n + i, so
+    n < L asks only for the last n output rows. logf holds the L per-position
+    log forget gates (logf_t = log f_t <= 0). scale defaults to 1/sqrt(d);
+    pass scale=1.0 to disable head-dim scaling.
     """
 
     q: np.ndarray
@@ -57,24 +65,32 @@ class AttentionInputs:
             a = getattr(self, name)
             if a.ndim != 2:
                 raise ShapeError(f"{name} must be 2-D, got ndim={a.ndim}")
-        if not (self.q.shape == self.k.shape == self.v.shape):
-            raise ShapeError(
-                f"q/k/v shapes differ: {self.q.shape} {self.k.shape} {self.v.shape}"
-            )
+        if self.k.shape != self.v.shape:
+            raise ShapeError(f"k/v shapes differ: {self.k.shape} {self.v.shape}")
+        if self.q.shape[1] != self.k.shape[1]:
+            raise ShapeError(f"q/k feature dims differ: {self.q.shape} {self.k.shape}")
         if self.q.shape[0] == 0:
-            raise ShapeError("empty sequence: attention needs L >= 1")
+            raise ShapeError("empty query: attention needs 1 <= n <= L")
+        if self.q.shape[0] > self.k.shape[0]:
+            raise ShapeError(f"{self.q.shape[0]} query rows for {self.k.shape[0]} keys")
         if self.q.dtype != self.k.dtype or self.q.dtype != self.v.dtype:
             raise ValueError("q/k/v must share one precision")
         logf = np.asarray(self.logf)
-        if logf.shape != (self.q.shape[0],):
-            raise ShapeError(f"logf shape {logf.shape} != ({self.q.shape[0]},)")
+        if logf.shape != (self.length,):
+            raise ShapeError(f"logf shape {logf.shape} != ({self.length},)")
         _check_log_gates(logf)
         if self.scale is None:
             self.scale = 1.0 / float(np.sqrt(self.q.shape[1]))
 
     @property
     def length(self) -> int:
-        return self.q.shape[0]
+        """Sequence length L, the number of keys."""
+        return self.k.shape[0]
+
+    @property
+    def offset(self) -> int:
+        """Position of q's first row: L - n."""
+        return self.k.shape[0] - self.q.shape[0]
 
 
 @dataclass
@@ -131,15 +147,15 @@ def decay_bias(logf: np.ndarray, dtype=None) -> DecayBias:
 
 
 def attention_scores(inp: AttentionInputs) -> np.ndarray:
-    """Full masked score matrix S = scale * Q K^T + D."""
+    """Masked score matrix S = scale * Q K^T + D, one row per query (n x L)."""
     s = matmul(inp.q, inp.k, transpose_b=True)
     s *= np.asarray(inp.scale, dtype=s.dtype)
-    bias = decay_bias(inp.logf, dtype=s.dtype)
+    d = decay_bias(inp.logf, dtype=s.dtype).d[inp.offset :]
     sentinel = neg_inf(s.dtype)
-    s += bias.d
+    s += d
     # Finite score + NEG_INF rounds back to NEG_INF, but pin it explicitly so
     # the masked entries are the exact sentinel the softmax zeroes.
-    s[bias.d == sentinel] = sentinel
+    s[d == sentinel] = sentinel
     return s
 
 
@@ -164,7 +180,8 @@ def fgattn_bwd(inp: AttentionInputs, out: np.ndarray, d_out: np.ndarray) -> Atte
         dc_i = rowsum_i(dS) - colsum_i(dS)           dlogf = suffix_sum(dc)
 
     The diagonal terms of the row and column sums cancel, and dlogf_1 is
-    always exactly 0 (shifting every c_i equally leaves D unchanged).
+    always exactly 0 (shifting every c_i equally leaves D unchanged). For a
+    query suffix, rowsum covers the last n positions only.
     """
     if out.shape != inp.q.shape or d_out.shape != inp.q.shape:
         raise ShapeError("out/d_out must match q's shape")
@@ -176,7 +193,9 @@ def fgattn_bwd(inp: AttentionInputs, out: np.ndarray, d_out: np.ndarray) -> Atte
     dv = matmul(p.T, d_out)
     dq = scale * matmul(ds, inp.k)
     dk = scale * matmul(ds.T, inp.q)
-    dc = ds.sum(axis=1).astype(np.float64) - ds.sum(axis=0).astype(np.float64)
+    dc_q = np.zeros(inp.length, dtype=np.float64)
+    dc_q[inp.offset :] = ds.sum(axis=1)
+    dc = dc_q - ds.sum(axis=0).astype(np.float64)
     dlogf = cumsum_rev(dc).astype(np.asarray(inp.logf).dtype)
     # A common shift of every c_i leaves D unchanged, so the derivative along
     # logf_1 is identically zero; pin it to remove summation round-off.

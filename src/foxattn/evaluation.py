@@ -205,9 +205,16 @@ def needle_accuracy(
     total = 0
     for _ in range(trials):
         tokens, answer = gen_needle_task(spec, rng)
-        logits, _ = model_fwd(tokens[:-1], params, cfg, logf_cap=logf_cap)
-        pred_rows = np.arange(answer.start - 1, answer.stop - 1)
-        preds = np.argmax(logits[pred_rows], axis=1)
+        # the answer ends the sequence, so its predicting rows are the last
+        # rows of tokens[:-1]: only they are computed in the last block
+        logits, _ = model_fwd(
+            tokens[:-1],
+            params,
+            cfg,
+            logf_cap=logf_cap,
+            keep_last=answer.stop - answer.start,
+        )
+        preds = np.argmax(logits, axis=1)
         hits += int((preds == tokens[answer]).sum())
         total += tokens[answer].size
     return hits / total

@@ -24,6 +24,11 @@ model names each stacked tensor whole (blocks.<i>.attn.<field>) everywhere
 except the checkpoint, whose per-head records blocks.<i>.attn.heads.<h>.<field>
 model.per_head_parameters() builds.
 
+A forward may keep only its last n rows (keep_last=n): keys, values, the
+kv-shift and the forget gates still run at all L rows, since every kept
+query reads them, while queries, attention output, output norm, output gate
+and the out-projection run at the kept rows only, and y has n rows.
+
 The backward pass is hand-written and exact. It consumes the activations
 saved by the forward and recomputes nothing except attention score tiles
 (when the tiled backend is selected).
@@ -31,6 +36,7 @@ saved by the forward and recomputes nothing except attention score tiles
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -163,7 +169,9 @@ class LayerActivations:
     """Forward values kept for the backward, stacked over heads.
 
     Feature tensors are H x L x d_head; alpha_k, alpha_v, f and logf are
-    H x L; aux holds one ForwardAux per head for the tiled backend.
+    H x L; aux holds one ForwardAux per head for the tiled backend. With
+    keep_last = n, q_pre, q, o, o_norm and g have n rows (the last n
+    positions) instead of L.
     """
 
     x: np.ndarray
@@ -315,18 +323,35 @@ def _from_heads(da: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _merge_heads(da) @ w.reshape(-1, w.shape[-1])
 
 
+def kept_rows(keep_last: int | None, length: int) -> int:
+    """Rows a keep_last request keeps out of length: all when it is None."""
+    if keep_last is None:
+        return length
+    if isinstance(keep_last, bool) or not isinstance(keep_last, numbers.Integral):
+        raise ValueError(f"keep_last must be an integer, got {keep_last!r}")
+    if not 1 <= keep_last <= length:
+        raise ValueError(f"keep_last must lie in 1..{length}, got {keep_last}")
+    return int(keep_last)
+
+
 def _forward(
-    x: np.ndarray, params: LayerParams, mode: GateMode, cfg: LayerConfig
+    x: np.ndarray,
+    params: LayerParams,
+    mode: GateMode,
+    cfg: LayerConfig,
+    keep_last: int | None = None,
 ) -> tuple[np.ndarray, LayerActivations]:
     if x.ndim != 2 or x.shape[1] != cfg.d_model:
         raise ShapeError(f"x must be L x {cfg.d_model}, got {x.shape}")
     _check_params(params, mode, cfg)
-    q_pre = x @ params.w_q.transpose(0, 2, 1)
+    off = x.shape[0] - kept_rows(keep_last, x.shape[0])
+    x_kept = x[off:]
+    q_pre = x_kept @ params.w_q.transpose(0, 2, 1)
     k_proj = x @ params.w_k.transpose(0, 2, 1)
     v_proj = x @ params.w_v.transpose(0, 2, 1)
 
     if cfg.rope:
-        q_pre = rope_apply(q_pre, cfg.rope_theta)
+        q_pre = rope_apply(q_pre, cfg.rope_theta, start_pos=off)
         k_proj = rope_apply(k_proj, cfg.rope_theta)
 
     q = rmsnorm(q_pre, params.q_gamma, cfg.eps) if cfg.qk_norm else q_pre
@@ -346,7 +371,7 @@ def _forward(
     if cfg.logf_cap is not None:
         logf = np.minimum(logf, cfg.logf_cap).astype(x.dtype)
 
-    o = np.empty_like(v)
+    o = np.empty_like(q)
     aux = [] if cfg.backend == "tiled" else None
     for h in range(cfg.n_heads):
         inp = AttentionInputs(q=q[h], k=k[h], v=v[h], logf=logf[h])
@@ -357,7 +382,7 @@ def _forward(
             o[h] = fgattn_fwd(inp)
 
     o_norm = rmsnorm(o, params.out_gamma, cfg.eps) if cfg.output_norm else o
-    g = sigmoid(x @ params.w_g.transpose(0, 2, 1)) if cfg.output_gate else None
+    g = sigmoid(x_kept @ params.w_g.transpose(0, 2, 1)) if cfg.output_gate else None
     u = o_norm * g if cfg.output_gate else o_norm
     y = _merge_heads(u) @ params.w_o.T
     return y, LayerActivations(
@@ -381,21 +406,35 @@ def _forward(
 
 
 def pro_layer_fwd(
-    x: np.ndarray, params: LayerParams, mode: GateMode, cfg: LayerConfig
+    x: np.ndarray,
+    params: LayerParams,
+    mode: GateMode,
+    cfg: LayerConfig,
+    keep_last: int | None = None,
 ) -> tuple[np.ndarray, LayerActivations]:
-    """Gated layer forward. Position is carried by decay, so rope must be off."""
+    """Gated layer forward. Position is carried by decay, so rope must be off.
+
+    keep_last=n returns only the last n rows of y (see the module docstring).
+    """
     if cfg.rope:
         raise ConfigError("the gated layer does not use rotary embeddings")
-    return _forward(x, params, mode, cfg)
+    return _forward(x, params, mode, cfg, keep_last)
 
 
 def llama_layer_fwd(
-    x: np.ndarray, params: LayerParams, mode: GateMode, cfg: LayerConfig
+    x: np.ndarray,
+    params: LayerParams,
+    mode: GateMode,
+    cfg: LayerConfig,
+    keep_last: int | None = None,
 ) -> tuple[np.ndarray, LayerActivations]:
-    """Plain-projection layer forward: q/k/v straight into attention."""
+    """Plain-projection layer forward: q/k/v straight into attention.
+
+    keep_last=n returns only the last n rows of y (see the module docstring).
+    """
     if cfg.qk_norm or cfg.kv_shift or cfg.output_gate or cfg.output_norm:
         raise ConfigError("plain layer config must have the gated extras off")
-    return _forward(x, params, mode, cfg)
+    return _forward(x, params, mode, cfg, keep_last)
 
 
 def zeros_like_layer(params: LayerParams) -> LayerParams:
@@ -422,29 +461,35 @@ def layer_bwd(
 ) -> tuple[np.ndarray, LayerParams]:
     """Exact layer backward; returns (dX, grads) with grads mirroring params.
 
+    d_y has one row per kept row of the forward (n, read from the saved
+    queries); dX always covers all L rows of x.
+
     Fixed-mode gate biases keep an exactly-zero gradient: they are frozen by
     contract, not merely unlikely to move.
     """
     if cfg.logf_cap is not None:
         raise ConfigError("logf_cap is an eval-only override; backward refuses it")
     x = acts.x
-    if d_y.shape != (x.shape[0], cfg.d_model):
-        raise ShapeError(f"d_y shape {d_y.shape} != {(x.shape[0], cfg.d_model)}")
+    n = acts.q.shape[1]
+    if d_y.shape != (n, cfg.d_model):
+        raise ShapeError(f"d_y shape {d_y.shape} != {(n, cfg.d_model)} (the kept rows)")
+    off = x.shape[0] - n
+    x_kept = x[off:]
     n_heads, dh = cfg.n_heads, cfg.d_head
     grads = zeros_like_layer(params)
     u = acts.o_norm * acts.g if cfg.output_gate else acts.o_norm
     grads.w_o[...] = d_y.T @ _merge_heads(u)
-    du = (d_y @ params.w_o).reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
+    du = (d_y @ params.w_o).reshape(n, n_heads, dh).transpose(1, 0, 2)
 
+    dx = np.zeros_like(x)
     if cfg.output_gate:
         g = acts.g
         d_on = du * g
         dzg = du * acts.o_norm * g * (1.0 - g)
-        grads.w_g[...] = dzg.transpose(0, 2, 1) @ x
-        dx = _from_heads(dzg, params.w_g)
+        grads.w_g[...] = dzg.transpose(0, 2, 1) @ x_kept
+        dx[off:] = _from_heads(dzg, params.w_g)
     else:
         d_on = du
-        dx = np.zeros_like(x)
 
     if cfg.output_norm:
         do, grads.out_gamma[...] = rmsnorm_bwd(acts.o, params.out_gamma, d_on, cfg.eps)
@@ -475,9 +520,9 @@ def layer_bwd(
     if cfg.qk_norm:
         dq, grads.q_gamma[...] = rmsnorm_bwd(acts.q_pre, params.q_gamma, dq, cfg.eps)
     if cfg.rope:
-        dq = rope_unapply(dq, cfg.rope_theta)
-    grads.w_q[...] = dq.transpose(0, 2, 1) @ x
-    dx += _from_heads(dq, params.w_q)
+        dq = rope_unapply(dq, cfg.rope_theta, start_pos=off)
+    grads.w_q[...] = dq.transpose(0, 2, 1) @ x_kept
+    dx[off:] += _from_heads(dq, params.w_q)
 
     if cfg.qk_norm:
         dk, grads.k_gamma[...] = rmsnorm_bwd(acts.k_mix, params.k_gamma, dk, cfg.eps)

@@ -7,6 +7,14 @@ the gated ("pro") layer is selected, its MLP hidden width is solved so the
 block's parameter count matches the plain ("llama") block at the same width,
 making architecture comparisons parameter-for-parameter fair.
 
+model_fwd(..., keep_last=n) returns logits for the last n positions only.
+Row i of the last block feeds only logits row i, so the last block runs its
+queries, attention output, MLP, final norm and head at those n rows (keys,
+values and gates still at all L); earlier blocks run at every row, because
+the kept rows attend to all of them. model_bwd reads n from d_logits. A
+caller that scores only some rows passes the tokens up to its last scored
+row and keeps the span from its first: no row after the last is computed.
+
 All parameters are reachable through named_parameters(), which defines the
 canonical flat names. A layer's heads are stacked (see layer.LayerParams) and
 named as one tensor, blocks.<i>.attn.<field>, everywhere except the
@@ -28,6 +36,7 @@ from .layer import (
     LayerConfig,
     LayerParams,
     init_layer_params,
+    kept_rows,
     layer_bwd,
     llama_layer_fwd,
     pro_layer_fwd,
@@ -257,8 +266,10 @@ def model_fwd(
     params: ModelParams,
     cfg: ModelConfig,
     logf_cap: float | None = None,
+    keep_last: int | None = None,
 ) -> tuple[np.ndarray, ModelActs]:
-    """Token ids to logits. logf_cap is an eval-only decay clamp."""
+    """Token ids to logits, L x V, or keep_last x V for the last keep_last
+    positions (an integer in 1..L). logf_cap is an eval-only decay clamp."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 1:
         raise ShapeError(f"tokens must be 1-D, got ndim={tokens.ndim}")
@@ -269,6 +280,7 @@ def model_fwd(
         raise ValueError(f"sequence length {n} exceeds runtime cap {cfg.runtime_len_cap}")
     if np.any(tokens < 0) or np.any(tokens >= cfg.vocab_size):
         raise ValueError("token id out of range")
+    kept = kept_rows(keep_last, n)
     lcfg = cfg.layer_config()
     if logf_cap is not None:
         lcfg = replace(lcfg, logf_cap=float(logf_cap))
@@ -276,10 +288,13 @@ def model_fwd(
 
     x = params.embed[tokens]
     blocks: list[BlockActs] = []
-    for blk in params.blocks:
+    for i, blk in enumerate(params.blocks):
+        last = i == len(params.blocks) - 1
         a_in = rmsnorm(x, blk.attn_gamma, cfg.eps)
-        y, layer_acts = layer_fn(a_in, blk.attn, cfg.gate_mode, lcfg)
-        x_mid = x + y
+        y, layer_acts = layer_fn(
+            a_in, blk.attn, cfg.gate_mode, lcfg, keep_last=kept if last else None
+        )
+        x_mid = x[x.shape[0] - y.shape[0] :] + y
         m_in = rmsnorm(x_mid, blk.mlp_gamma, cfg.eps)
         z_in = m_in @ blk.w_in.T
         z_gate = m_in @ blk.w_gate.T
@@ -298,6 +313,7 @@ def model_fwd(
             )
         )
         x = x_next
+    x = x[x.shape[0] - kept :]  # a no-op unless there are no blocks
     h_final = rmsnorm(x, params.final_gamma, cfg.eps)
     logits = h_final @ params.head_w
     return logits, ModelActs(tokens=tokens, blocks=blocks, x_final=x, h_final=h_final)
@@ -364,7 +380,16 @@ def model_bwd(
     params: ModelParams,
     cfg: ModelConfig,
 ) -> ModelParams:
-    """End-to-end backward; returns gradients in the params structure."""
+    """End-to-end backward; returns gradients in the params structure.
+
+    d_logits has one row per logits row model_fwd returned; the last block's
+    residual gradient for its kept rows lands in the last rows of the stream.
+    """
+    if d_logits.shape != (acts.h_final.shape[0], params.head_w.shape[1]):
+        raise ShapeError(
+            f"d_logits shape {d_logits.shape} != logits shape "
+            f"{(acts.h_final.shape[0], params.head_w.shape[1])}"
+        )
     lcfg = cfg.layer_config()
     grads = zeros_like_model(params)
     grads.head_w[...] = acts.h_final.T @ d_logits
@@ -391,6 +416,7 @@ def model_bwd(
         d_ain, bg.attn = layer_bwd(ba.layer, d_xmid, blk.attn, cfg.gate_mode, lcfg)
         d_xin, dag = rmsnorm_bwd(ba.x_in, blk.attn_gamma, d_ain, cfg.eps)
         bg.attn_gamma[...] = dag
-        dx = d_xin + d_xmid
-    np.add.at(grads.embed, acts.tokens, dx)
+        d_xin[d_xin.shape[0] - d_xmid.shape[0] :] += d_xmid
+        dx = d_xin
+    np.add.at(grads.embed, acts.tokens[acts.tokens.shape[0] - dx.shape[0] :], dx)
     return grads

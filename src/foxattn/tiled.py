@@ -34,6 +34,13 @@ backward share that start, so the backward visits exactly the forward's
 tiles in the same order. Tiles wholly below the diagonal need no causal
 mask and skip the masking work.
 
+A query suffix (q holding the last n <= L positions, see attention.py)
+keeps the absolute query-block grid: blocks still start at multiples of
+B_r, and the first one is cropped to start at row L - n. Every present row
+therefore meets the same key tiles, in the same order, as it would in a
+full call; only the skip bound, taken over the rows present, can be
+tighter. With n == L nothing changes.
+
 Peak transient memory per call is O(B_r * B_c + B_r * d), independent of L.
 Pass a BufferMeter to tiled_fwd to have each tile's scratch allocations
 recorded.
@@ -84,18 +91,21 @@ class BufferMeter:
             self.peak_bytes = total
 
 
-def _blocks(length: int, size: int) -> list[tuple[int, int]]:
-    return [(s, min(s + size, length)) for s in range(0, length, size)]
+def _blocks(length: int, size: int, start: int = 0) -> list[tuple[int, int]]:
+    """[start, length) cut on the grid of multiples of size."""
+    first = start - start % size
+    return [(max(s, start), min(s + size, length)) for s in range(first, length, size)]
 
 
 def _first_kept_blocks(inp: AttentionInputs, c: np.ndarray, cfg: TileConfig) -> np.ndarray:
     """Index of the first key block each query block visits.
 
     Skips the leading key blocks whose probabilities the bound in the module
-    docstring puts below eps / L; vectorised over query blocks.
+    docstring puts below eps / L; vectorised over query blocks, and taken
+    over the query rows present.
     """
-    n = inp.q.shape[0]
-    r0 = np.arange(0, n, cfg.q_block)
+    n, off = inp.length, inp.offset
+    r0, r1 = np.array(_blocks(n, cfg.q_block, off)).T
     first = np.zeros(r0.size, dtype=np.intp)
     if r0[-1] < cfg.k_block:
         return first  # no key block ends before any query block starts
@@ -106,12 +116,11 @@ def _first_kept_blocks(inp: AttentionInputs, c: np.ndarray, cfg: TileConfig) -> 
         return first
     qq, kk, qk = (
         np.einsum("ij,ij->i", a, b, dtype=np.float64)
-        for a, b in ((inp.q, inp.q), (inp.k, inp.k), (inp.q, inp.k))
+        for a, b in ((inp.q, inp.q), (inp.k, inp.k), (inp.q, inp.k[off:]))
     )
-    r1 = np.minimum(r0 + cfg.q_block, n)
-    q_norm = np.maximum.reduceat(np.sqrt(qq), r0)
+    q_norm = np.maximum.reduceat(np.sqrt(qq), r0 - off)
     k_norm = np.maximum.accumulate(np.sqrt(kk))[r1 - 1]
-    floor = np.minimum.reduceat(inp.scale * qk, r0)
+    floor = np.minimum.reduceat(inp.scale * qk, r0 - off)
     slack = abs(inp.scale) * q_norm * k_norm - floor
     # Key block j is skipped when c[e_j] > c[r0] + slack - log_tol; c[e_j]
     # never increases with j, so a sorted search counts the skipped prefix.
@@ -130,13 +139,14 @@ def _masked_scores(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Score tile S[r0:r1, c0:c1] with decay bias and causal mask applied.
 
-    Returns (S, valid). valid is None for a tile wholly below the diagonal,
-    where every entry is valid. The bias difference is taken in float64
-    before the cast to working precision, matching the reference path's
-    construction.
+    Rows and columns are absolute positions. Returns (S, valid). valid is
+    None for a tile wholly below the diagonal, where every entry is valid.
+    The bias difference is taken in float64 before the cast to working
+    precision, matching the reference path's construction.
     """
     dtype = inp.q.dtype
-    s = inp.q[r0:r1] @ inp.k[c0:c1].T
+    off = inp.offset
+    s = inp.q[r0 - off : r1 - off] @ inp.k[c0:c1].T
     s *= np.asarray(inp.scale, dtype=dtype)
     s += (c[r0:r1, None] - c[None, c0:c1]).astype(dtype)
     if c1 - 1 <= r0:
@@ -149,16 +159,20 @@ def _masked_scores(
 def tiled_fwd(
     inp: AttentionInputs, cfg: TileConfig, meter: BufferMeter | None = None
 ) -> tuple[np.ndarray, ForwardAux]:
-    """Streaming forward; returns (O, aux) with aux = per-row lse and c."""
+    """Streaming forward; returns (O, aux) with aux = per-row lse and c.
+
+    O and lse have one row per query row; c covers all L positions.
+    """
     n, d = inp.q.shape
+    off = inp.offset
     dtype = inp.q.dtype
     c = cumsum_fwd(inp.logf)
     out = np.empty((n, d), dtype=dtype)
     lse = np.empty(n, dtype=dtype)
-    k_blocks = _blocks(n, cfg.k_block)
+    k_blocks = _blocks(inp.length, cfg.k_block)
     first = _first_kept_blocks(inp, c, cfg)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for (r0, r1), j0 in zip(_blocks(n, cfg.q_block), first):
+        for (r0, r1), j0 in zip(_blocks(inp.length, cfg.q_block, off), first):
             rows = r1 - r0
             m = np.full(rows, -np.inf, dtype=dtype)
             ell = np.zeros(rows, dtype=dtype)
@@ -184,8 +198,8 @@ def tiled_fwd(
                 m = m_new
                 if meter is not None:
                     meter.record(s, valid, p, acc, alpha, ell, m, tile_max)
-            out[r0:r1] = acc / ell[:, None]
-            lse[r0:r1] = m + np.log(ell)
+            out[r0 - off : r1 - off] = acc / ell[:, None]
+            lse[r0 - off : r1 - off] = m + np.log(ell)
     return out, ForwardAux(lse=lse, c=c)
 
 
@@ -199,7 +213,7 @@ def _tile_probs(
 ) -> np.ndarray:
     """Probability tile P = exp(S - lse) with masked entries exactly zero."""
     s, valid = _masked_scores(inp, aux.c, r0, r1, c0, c1)
-    p = np.exp(s - aux.lse[r0:r1, None])
+    p = np.exp(s - aux.lse[r0 - inp.offset : r1 - inp.offset, None])
     if valid is not None:
         p = np.where(valid, p, 0.0)
     return p.astype(s.dtype, copy=False)
@@ -213,34 +227,37 @@ def tiled_bwd(
     cfg: TileConfig,
 ) -> AttentionGrads:
     """Streaming backward from saved (O, lse, c); recomputes each of the
-    forward's score tiles once."""
+    forward's score tiles once. dq has one row per query row; dk, dv and
+    dlogf cover all L positions."""
     n, d = inp.q.shape
+    length, off = inp.length, inp.offset
     if out.shape != (n, d) or d_out.shape != (n, d):
         raise ShapeError("out/d_out must match q's shape")
-    if aux.lse.shape != (n,) or aux.c.shape != (n,):
-        raise ShapeError("aux statistics must have one entry per row")
+    if aux.lse.shape != (n,) or aux.c.shape != (length,):
+        raise ShapeError("aux needs one lse per query row and one c per position")
     dtype = inp.q.dtype
     scale = np.asarray(inp.scale, dtype=dtype)
     delta = np.sum(d_out * out, axis=1)
 
     dq = np.zeros((n, d), dtype=dtype)
-    dk = np.zeros((n, d), dtype=dtype)
-    dv = np.zeros((n, d), dtype=dtype)
-    dc_q = np.zeros(n, dtype=np.float64)
-    dc_k = np.zeros(n, dtype=np.float64)
-    k_blocks = _blocks(n, cfg.k_block)
+    dk = np.zeros((length, d), dtype=dtype)
+    dv = np.zeros((length, d), dtype=dtype)
+    dc_q = np.zeros(length, dtype=np.float64)
+    dc_k = np.zeros(length, dtype=np.float64)
+    k_blocks = _blocks(length, cfg.k_block)
     first = _first_kept_blocks(inp, aux.c, cfg)
     with np.errstate(over="ignore", under="ignore"):
-        for (r0, r1), j0 in zip(_blocks(n, cfg.q_block), first):
+        for (r0, r1), j0 in zip(_blocks(length, cfg.q_block, off), first):
+            q0, q1 = r0 - off, r1 - off  # the block's rows of q, dq, d_out
             for c0, c1 in k_blocks[j0:]:
                 if c0 > r1 - 1:
                     break  # tile is entirely above the diagonal, as are all later ones
                 p = _tile_probs(inp, aux, r0, r1, c0, c1)
-                dp = d_out[r0:r1] @ inp.v[c0:c1].T
-                ds = p * (dp - delta[r0:r1, None])
-                dv[c0:c1] += p.T @ d_out[r0:r1]
-                dk[c0:c1] += scale * (ds.T @ inp.q[r0:r1])
-                dq[r0:r1] += scale * (ds @ inp.k[c0:c1])
+                dp = d_out[q0:q1] @ inp.v[c0:c1].T
+                ds = p * (dp - delta[q0:q1, None])
+                dv[c0:c1] += p.T @ d_out[q0:q1]
+                dk[c0:c1] += scale * (ds.T @ inp.q[q0:q1])
+                dq[q0:q1] += scale * (ds @ inp.k[c0:c1])
                 dc_k[c0:c1] -= ds.sum(axis=0)
                 dc_q[r0:r1] += ds.sum(axis=1)
 

@@ -29,7 +29,6 @@ from .model import (
     model_bwd,
     model_fwd,
     named_parameters,
-    zeros_like_model,
 )
 from .rng import rng_stream
 
@@ -182,11 +181,13 @@ def _format_row(step: int, tokens: int, lr: float, loss: float, grad_norm: float
 def _batch_loss_and_grads(
     params: ModelParams, model_cfg: ModelConfig, batch: list[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss over the batch's scored positions, and its gradients by flat name."""
+    """Mean loss over the batch's scored positions, and its gradients by flat name.
+
+    Each sequence runs the model only up to its last scored row and keeps
+    logits from its first: rows outside that span cannot reach the loss.
+    """
     if not batch:
         raise TrainingFault("empty batch")
-    grads = zeros_like_model(params)
-    grad_flat = dict(named_parameters(grads))
     total_weight = 0.0
     for seq, mask in batch:
         total_weight += float(np.asarray(mask[1:], dtype=np.float64).sum())
@@ -194,17 +195,24 @@ def _batch_loss_and_grads(
         raise TrainingFault("batch has no scored positions")
 
     loss_acc = 0.0
+    grad_flat: dict[str, np.ndarray] = {}
     for seq, mask in batch:
         seq = np.asarray(seq)
         w = np.asarray(mask[1:], dtype=np.float64)
-        if not w.any():
+        scored = np.flatnonzero(w)
+        if scored.size == 0:
             continue
-        logits, acts = model_fwd(seq[:-1], params, model_cfg)
-        _, per_pos = cross_entropy(logits, seq[1:])
+        lo, hi = int(scored[0]), int(scored[-1])
+        w, targets = w[lo : hi + 1], seq[lo + 1 : hi + 2]
+        logits, acts = model_fwd(seq[: hi + 1], params, model_cfg, keep_last=hi + 1 - lo)
+        _, per_pos = cross_entropy(logits, targets)
         loss_acc += float((per_pos * w).sum())
         share = float(w.sum() / total_weight)  # python float: keeps f32 grads f32
-        d_logits = cross_entropy_bwd(logits, seq[1:], w) * share
+        d_logits = cross_entropy_bwd(logits, targets, w) * share
         g = model_bwd(acts, d_logits, params, model_cfg)
+        if not grad_flat:  # the first scored sequence's gradients hold the sum
+            grad_flat = dict(named_parameters(g))
+            continue
         for name, a in named_parameters(g):
             grad_flat[name] += a
     loss_value = loss_acc / total_weight

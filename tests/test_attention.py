@@ -288,3 +288,43 @@ def test_rope_dot_products_depend_on_relative_position():
 def test_rope_odd_dim_rejected():
     with pytest.raises(ShapeError):
         rope_apply(np.zeros((2, 3)), 500000.0)
+
+
+def test_query_suffix_validation():
+    """q may hold the last n <= L positions; every other mismatch is refused."""
+    kv = np.zeros((5, 2))
+    inp = AttentionInputs(q=np.zeros((2, 2)), k=kv, v=kv, logf=np.zeros(5))
+    assert (inp.length, inp.offset) == (5, 3)
+    with pytest.raises(ShapeError, match="query rows"):
+        AttentionInputs(q=np.zeros((6, 2)), k=kv, v=kv, logf=np.zeros(5))
+    with pytest.raises(ShapeError, match="feature dims"):
+        AttentionInputs(q=np.zeros((2, 3)), k=kv, v=kv, logf=np.zeros(5))
+    with pytest.raises(ShapeError, match="k/v"):
+        AttentionInputs(q=np.zeros((2, 2)), k=kv, v=np.zeros((5, 3)), logf=np.zeros(5))
+    with pytest.raises(ShapeError, match="empty"):
+        AttentionInputs(q=np.zeros((0, 2)), k=kv, v=kv, logf=np.zeros(5))
+    with pytest.raises(ShapeError):
+        AttentionInputs(q=np.zeros((2, 2)), k=kv, v=kv, logf=np.zeros(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 11])
+def test_query_suffix_equals_the_full_route_rows(n):
+    """A suffix call gives the last n rows of O and, for a cotangent that is
+    zero on the dropped rows, the full call's gradients (dq on the kept rows)."""
+    rng = np.random.default_rng(40 + n)
+    full = _rand_inputs(rng, 11, 3)
+    suffix = AttentionInputs(q=full.q[-n:], k=full.k, v=full.v, logf=full.logf)
+    o_full = fgattn_fwd(full)
+    o = fgattn_fwd(suffix)
+    assert o.shape == (n, 3)
+    np.testing.assert_allclose(o, o_full[-n:], rtol=0, atol=1e-13)
+    d_out = rng.normal(size=(n, 3))
+    d_full = np.zeros_like(o_full)
+    d_full[-n:] = d_out
+    got = fgattn_bwd(suffix, o, d_out)
+    want = fgattn_bwd(full, o_full, d_full)
+    assert got.dq.shape == (n, 3) and got.dk.shape == got.dv.shape == (11, 3)
+    np.testing.assert_allclose(got.dq, want.dq[-n:], rtol=0, atol=1e-13)
+    for name in ("dk", "dv", "dlogf"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-13)
+    assert got.dlogf[0] == 0.0

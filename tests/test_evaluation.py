@@ -225,3 +225,32 @@ def test_needle_grid_shape_and_determinism():
     assert grid1.shape == (2, 3)
     np.testing.assert_array_equal(grid1, grid2)
     assert np.all((grid1 >= 0.0) & (grid1 <= 1.0))
+
+
+def test_needle_accuracy_reads_only_the_answer_rows(monkeypatch):
+    """The forward keeps only the rows that predict the answer, and the
+    accuracy equals a full-route argmax over those rows."""
+    import foxattn.evaluation as evaluation
+    from foxattn.model import model_fwd
+
+    params, cfg = _untrained()
+    spec = NeedleSpec(haystack_len=30, depth=0.5, value_len=3, vocab_size=16)
+    hits = total = 0
+    rng = np.random.default_rng(9)
+    for _ in range(6):
+        tokens, answer = gen_needle_task(spec, rng)
+        logits, _ = model_fwd(tokens[:-1], params, cfg)
+        preds = logits[answer.start - 1 : answer.stop - 1].argmax(axis=1)
+        hits += int((preds == tokens[answer]).sum())
+        total += tokens[answer].size
+
+    kept = []
+
+    def spy(tokens, params, cfg, logf_cap=None, keep_last=None):
+        kept.append(keep_last)
+        return model_fwd(tokens, params, cfg, logf_cap=logf_cap, keep_last=keep_last)
+
+    monkeypatch.setattr(evaluation, "model_fwd", spy)
+    acc = needle_accuracy(params, cfg, spec, np.random.default_rng(9), trials=6)
+    assert kept == [3] * 6
+    assert acc == hits / total

@@ -430,3 +430,60 @@ def test_zeros_like_layer_mirrors_structure():
     assert z.gate_w is None
     assert z.gate_b[1:2].shape == (1,) and z.gate_b[1] == 0.0
     assert np.all(z.w_o == 0.0)
+
+
+@pytest.mark.parametrize(
+    "flavor, kind, backend",
+    [
+        ("pro", "data_dependent", "naive"),
+        ("pro", "data_independent", "tiled"),
+        ("llama_rope", "none", "naive"),
+        ("llama_rope", "data_dependent", "tiled"),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 4, 11])
+def test_keep_last_matches_the_full_layer(flavor, kind, backend, n):
+    """keep_last=n gives the last n rows of y, and for a cotangent that is
+    zero on the dropped rows the full layer's dX and parameter gradients."""
+    rng = np.random.default_rng(20 + n)
+    mode = GateMode(kind=kind)
+    tile = TileConfig(3, 2)
+    if flavor == "pro":
+        cfg, fwd = LayerConfig.pro(8, 2, 4, backend=backend, tile=tile), pro_layer_fwd
+    else:
+        cfg = LayerConfig.llama(8, 2, 4, rope=True, backend=backend, tile=tile)
+        fwd = llama_layer_fwd
+    params = init_layer_params(cfg, mode, rng, dtype=np.float64, init_std=0.3)
+    x = rng.normal(size=(11, 8))
+    y_full, acts_full = fwd(x, params, mode, cfg)
+    y, acts = fwd(x, params, mode, cfg, keep_last=n)
+    assert y.shape == (n, 8)
+    np.testing.assert_allclose(y, y_full[-n:], rtol=0, atol=1e-12)
+    d_y = rng.normal(size=(n, 8))
+    d_full = np.zeros_like(y_full)
+    d_full[-n:] = d_y
+    dx, grads = layer_bwd(acts, d_y, params, mode, cfg)
+    dx_full, grads_full = layer_bwd(acts_full, d_full, params, mode, cfg)
+    assert dx.shape == x.shape
+    np.testing.assert_allclose(dx, dx_full, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads.w_o, grads_full.w_o, rtol=0, atol=1e-12)
+    for (name, a), (_, b) in zip(grads.head_tensors(), grads_full.head_tensors()):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_keep_last_boundaries():
+    rng = np.random.default_rng(21)
+    mode = GateMode(kind="data_dependent")
+    cfg = LayerConfig.pro(4, 1, 4, backend="naive")
+    params = init_layer_params(cfg, mode, rng, dtype=np.float64)
+    x = rng.normal(size=(6, 4))
+    for bad in (0, 7, -1, 2.0, True, "3"):
+        with pytest.raises(ValueError):
+            pro_layer_fwd(x, params, mode, cfg, keep_last=bad)
+    _, acts = pro_layer_fwd(x, params, mode, cfg, keep_last=np.int64(2))
+    with pytest.raises(ShapeError, match="kept rows"):
+        layer_bwd(acts, np.zeros((6, 4)), params, mode, cfg)
+    with pytest.raises(ShapeError, match="kept rows"):
+        layer_bwd(acts, np.zeros((3, 4)), params, mode, cfg)
+    dx, _ = layer_bwd(acts, np.zeros((2, 4)), params, mode, cfg)
+    assert dx.shape == (6, 4)

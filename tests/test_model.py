@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from foxattn.errors import ConfigError, ShapeError
+from foxattn.gradcheck import central_diff, rel_max_err
 from foxattn.layer import GateMode
 from foxattn.model import (
     ModelConfig,
@@ -319,3 +320,84 @@ def test_zeros_like_model_matches_structure():
     names_z = [n for n, _ in named_parameters(z)]
     assert names_p == names_z
     assert all(np.all(a == 0.0) for _, a in named_parameters(z))
+
+
+def _perturbed_f64_model(cfg, seed):
+    params = init_model_params(cfg, seed=seed, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    for _, a in named_parameters(params):
+        a += rng.normal(scale=0.3, size=a.shape)
+    return params
+
+
+@pytest.mark.parametrize("backend", ["tiled", "naive"])
+@pytest.mark.parametrize(
+    "arch, kind, rope",
+    [("pro", "data_dependent", False), ("pro", "data_independent", False), ("llama", "none", True)],
+)
+def test_keep_last_matches_the_full_route(arch, kind, rope, backend):
+    """Logits for the last n rows, and every gradient of a loss on them, agree
+    with the full route (whose other rows get a zero cotangent) to 1e-12."""
+    cfg = _small_cfg(
+        n_layers=2, arch=arch, gate_mode=GateMode(kind=kind), rope=rope, backend=backend, tile=3
+    )
+    params = _perturbed_f64_model(cfg, seed=5)
+    rng = np.random.default_rng(6)
+    tokens = rng.integers(0, cfg.vocab_size, size=14)
+    logits_full, acts_full = model_fwd(tokens, params, cfg)
+    for n in (1, 2, 5, 14):
+        logits, acts = model_fwd(tokens, params, cfg, keep_last=n)
+        assert logits.shape == (n, cfg.vocab_size)
+        np.testing.assert_allclose(logits, logits_full[-n:], rtol=0, atol=1e-12)
+        targets = rng.integers(0, cfg.vocab_size, size=n)
+        weights = rng.random(n)
+        d_logits = cross_entropy_bwd(logits, targets, weights)
+        d_full = np.zeros_like(logits_full)
+        d_full[-n:] = cross_entropy_bwd(logits_full[-n:], targets, weights)
+        got = dict(named_parameters(model_bwd(acts, d_logits, params, cfg)))
+        want = named_parameters(model_bwd(acts_full, d_full, params, cfg))
+        for name, b in want:
+            scale = max(np.abs(b).max(), 1.0)
+            assert np.abs(got[name] - b).max() <= 1e-12 * scale, (name, n)
+
+
+def test_keep_last_validation():
+    cfg = _small_cfg()
+    params = init_model_params(cfg, seed=0)
+    tokens = np.array([1, 4, 9, 0, 2])
+    for bad in (0, 6, -2, 1.5, 2.0, True, "2", None):
+        if bad is None:
+            assert model_fwd(tokens, params, cfg, keep_last=bad)[0].shape == (5, 11)
+            continue
+        with pytest.raises(ValueError):
+            model_fwd(tokens, params, cfg, keep_last=bad)
+    logits, acts = model_fwd(tokens, params, cfg, keep_last=np.int32(3))
+    assert logits.shape == (3, 11)
+    with pytest.raises(ShapeError):
+        model_bwd(acts, np.zeros((5, 11), dtype=np.float32), params, cfg)
+    grads = model_bwd(acts, np.zeros((3, 11), dtype=np.float32), params, cfg)
+    assert grads.embed.shape == params.embed.shape
+
+
+def test_keep_last_backward_matches_central_differences():
+    """Every gradient of a loss read through keep_last, against
+    gradcheck.central_diff, on the gated arch with the tiled backend."""
+    cfg = _small_cfg(
+        n_layers=2, arch="pro", gate_mode=GateMode(kind="data_dependent"), backend="tiled", tile=3
+    )
+    params = init_model_params(cfg, seed=7, dtype=np.float64)
+    rng = np.random.default_rng(8)
+    tokens = rng.integers(0, cfg.vocab_size, size=10)
+    targets = rng.integers(0, cfg.vocab_size, size=4)
+    weights = np.array([1.0, 0.0, 1.0, 1.0])
+
+    def loss():
+        logits, _ = model_fwd(tokens, params, cfg, keep_last=4)
+        return cross_entropy(logits, targets, weights)[0]
+
+    logits, acts = model_fwd(tokens, params, cfg, keep_last=4)
+    grads = model_bwd(acts, cross_entropy_bwd(logits, targets, weights), params, cfg)
+    gmap = dict(per_head_parameters(grads))
+    for name, arr in per_head_parameters(params):
+        numeric = central_diff(loss, arr)
+        assert rel_max_err(gmap[name], numeric) < 1e-6, name

@@ -279,3 +279,71 @@ def test_unit_gates_skip_no_tile(monkeypatch, dtype):
     inp = AttentionInputs(q=inp.q, k=inp.k, v=inp.v, logf=np.zeros(n, dtype=dtype))
     fwd_calls, bwd_calls, _, _ = _visited_tiles(monkeypatch, inp, TileConfig(*tiles), inp.v)
     assert fwd_calls == bwd_calls == _causal_tiles(n, *tiles)
+
+
+def _suffix(inp, n):
+    return AttentionInputs(q=inp.q[-n:], k=inp.k, v=inp.v, logf=inp.logf, scale=inp.scale)
+
+
+def _suffix_causal_tiles(length, n, qb, kb):
+    """Causal tiles of the rows [L - n, L) on the absolute query-block grid."""
+    starts = [length - n] + [r for r in range(0, length, qb) if r > length - n]
+    return [
+        (r0, c0)
+        for r0 in starts
+        for c0 in range(0, length, kb)
+        if c0 <= min(r0 - r0 % qb + qb, length) - 1
+    ]
+
+
+@pytest.mark.parametrize(
+    "dtype, fwd_tol, bwd_tol", [(np.float64, 1e-10, 1e-8), (np.float32, 1e-5, 1e-4)]
+)
+@pytest.mark.parametrize("length, tiles", [(37, (5, 3)), (40, (1, 4)), (75, (16, 16))])
+@pytest.mark.parametrize("pick", ["1", "2", "tile-1", "tile+1", "L"])
+def test_query_suffix_matches_reference(monkeypatch, dtype, fwd_tol, bwd_tol, length, tiles, pick):
+    """q holding the last n rows: the streaming route matches the materialized
+    one at verify's tolerances, visits the causal tiles of the rows present on
+    the absolute block grid (skipping under strong decay), and computes every
+    row after the cropped first block exactly as a full call does."""
+    qb, kb = tiles
+    n = {"1": 1, "2": 2, "tile-1": max(qb - 1, 1), "tile+1": qb + 1, "L": length}[pick]
+    rng = np.random.default_rng(length + n)
+    full = _strong_decay_inputs(rng, length, 4, dtype)
+    inp = _suffix(full, n)
+    d_out = rng.normal(size=(n, 4)).astype(dtype)
+    fwd_calls, bwd_calls, o, got = _visited_tiles(monkeypatch, inp, TileConfig(qb, kb), d_out)
+    causal = _suffix_causal_tiles(length, n, qb, kb)
+    assert set(fwd_calls) <= set(causal)
+    assert {r0 for r0, _ in fwd_calls} == {r0 for r0, _ in causal}
+    assert len(fwd_calls) < len(causal)
+    assert bwd_calls == fwd_calls
+
+    o_ref = fgattn_fwd(inp)
+    assert o.shape == (n, 4)
+    assert np.abs(o - o_ref).max() <= fwd_tol
+    want = fgattn_bwd(inp, o_ref, d_out)
+    assert got.dq.shape == (n, 4) and got.dk.shape == got.dv.shape == (length, 4)
+    assert got.dlogf.shape == (length,) and got.dlogf[0] == 0.0
+    for name in ("dq", "dk", "dv", "dlogf"):
+        a = np.asarray(getattr(got, name), np.float64)
+        b = np.asarray(getattr(want, name), np.float64)
+        assert np.abs(a - b).max() / max(np.abs(b).max(), 1e-12) < bwd_tol, name
+
+    o_full, aux_full = tiled_fwd(full, TileConfig(qb, kb))
+    _, aux = tiled_fwd(inp, TileConfig(qb, kb))
+    np.testing.assert_array_equal(aux.c, aux_full.c)
+    whole = -(-(length - n) // qb) * qb - (length - n)  # rows in the cropped block
+    np.testing.assert_array_equal(o[whole:], o_full[length - n + whole :])
+    np.testing.assert_array_equal(aux.lse[whole:], aux_full.lse[length - n + whole :])
+
+
+def test_query_suffix_backward_shape_validation():
+    rng = np.random.default_rng(41)
+    inp = _suffix(_rand_inputs(rng, 9, 2), 4)
+    o, aux = tiled_fwd(inp, TileConfig(4, 4))
+    tiled_bwd(inp, o, aux, np.zeros((4, 2)), TileConfig(4, 4))
+    with pytest.raises(ShapeError):
+        tiled_bwd(inp, o, aux, np.zeros((9, 2)), TileConfig(4, 4))
+    with pytest.raises(ShapeError):
+        tiled_bwd(inp, o, type(aux)(lse=aux.lse, c=aux.c[-4:]), np.zeros((4, 2)), TileConfig(4, 4))

@@ -311,3 +311,67 @@ def test_train_loop_fixed_gate_biases_never_move(tmp_path):
             np.testing.assert_array_equal(trained, fresh)
         elif name.endswith(("w_q", "w_o")):
             assert not np.array_equal(trained, fresh), name
+
+
+def test_batch_gradients_match_the_full_route_per_sequence():
+    """The scored-span route of the batch loss equals running every sequence
+    at every row and accumulating from zero, to 1e-12 in float64, for a batch
+    whose spans sit at the start, middle and end, with gaps inside a span and
+    one sequence with nothing scored."""
+    from foxattn.model import cross_entropy, cross_entropy_bwd, model_bwd, model_fwd
+    from foxattn.training import _batch_loss_and_grads
+
+    cfg = _tiny_model_cfg(n_layers=2, backend="tiled", tile=3)
+    params = init_model_params(cfg, seed=3, dtype=np.float64)
+    rng = np.random.default_rng(4)
+    for _, a in named_parameters(params):
+        a += rng.normal(scale=0.3, size=a.shape)
+    spans = [(1, 3), (5, 9), (13, 16), None, (16, 16), (2, 15)]
+    batch = []
+    for span in spans:
+        mask = np.zeros(17, dtype=bool)
+        if span is not None:
+            mask[span[0] : span[1] + 1] = True
+        if span == (2, 15):
+            mask[[4, 9, 10]] = False
+        batch.append((rng.integers(0, cfg.vocab_size, size=17), mask))
+
+    loss, grads = _batch_loss_and_grads(params, cfg, batch)
+
+    total = sum(float(m[1:].sum()) for _, m in batch)
+    want = {name: np.zeros_like(a) for name, a in named_parameters(params)}
+    want_loss = 0.0
+    for seq, mask in batch:
+        w = mask[1:].astype(np.float64)
+        if not w.any():
+            continue
+        logits, acts = model_fwd(seq[:-1], params, cfg)
+        want_loss += float((cross_entropy(logits, seq[1:])[1] * w).sum())
+        d_logits = cross_entropy_bwd(logits, seq[1:], w) * float(w.sum() / total)
+        for name, g in named_parameters(model_bwd(acts, d_logits, params, cfg)):
+            want[name] += g
+    assert abs(loss - want_loss / total) <= 1e-12
+    assert set(grads) == set(want)
+    for name, b in want.items():
+        assert np.abs(grads[name] - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0), name
+
+
+def test_batch_runs_each_sequence_only_through_its_scored_span(monkeypatch):
+    """Rows past the last scored one are never computed, and only the span
+    from the first scored row is kept."""
+    import foxattn.training as training
+
+    seen = []
+    real_fwd = training.model_fwd
+
+    def spy(tokens, params, cfg, logf_cap=None, keep_last=None):
+        seen.append((len(tokens), keep_last))
+        return real_fwd(tokens, params, cfg, logf_cap=logf_cap, keep_last=keep_last)
+
+    monkeypatch.setattr(training, "model_fwd", spy)
+    mc = _tiny_model_cfg()
+    params = init_model_params(mc, seed=0)
+    mask = np.zeros(16, dtype=bool)
+    mask[6:10] = True  # targets 6..9, predicted from rows 5..8
+    training._batch_loss_and_grads(params, mc, [(np.arange(16) % 8, mask)])
+    assert seen == [(9, 4)]
