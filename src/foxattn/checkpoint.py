@@ -65,7 +65,8 @@ def save_tensors(tensors: dict[str, np.ndarray], path: str | Path) -> None:
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read records back; validates magic, counts, dtype codes, and sizes."""
+    """Read records back; validates magic, counts, dtype codes, sizes and
+    that no record name repeats."""
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 4:
         raise CheckpointError("truncated checkpoint header")
@@ -87,6 +88,8 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
             pos += 4 * ndim
         except struct.error as e:
             raise CheckpointError(f"truncated record: {e}") from e
+        if name in tensors:
+            raise CheckpointError(f"{name}: repeated record name")
         if code not in _DTYPE_CODES:
             raise CheckpointError(f"{name}: unknown dtype code {code}")
         dtype = _DTYPE_CODES[code]
@@ -110,11 +113,15 @@ def save_model(params, path: str | Path) -> None:
 
 
 def load_model(cfg, path: str | Path):
-    """Rebuild ModelParams for cfg from a checkpoint; shapes must match."""
+    """Rebuild ModelParams for cfg from a checkpoint; shapes must match and
+    all records must share one precision."""
     from .model import init_model_params, per_head_parameters
 
     tensors = load_tensors(path)
-    dtype = next(iter(tensors.values())).dtype if tensors else np.float32
+    dtypes = {a.dtype for a in tensors.values()}
+    if len(dtypes) > 1:
+        raise CheckpointError(f"checkpoint mixes precisions: {sorted(map(str, dtypes))}")
+    dtype = dtypes.pop() if dtypes else np.float32
     params = init_model_params(cfg, seed=0, dtype=dtype)
     expected = dict(per_head_parameters(params))
     missing = [n for n in expected if n not in tensors]

@@ -17,12 +17,13 @@ gradient is reported as exactly zero and it never enters an optimizer);
 "none" removes decay entirely (f = 1), leaving standard causal attention.
 
 Parameters are stacked over heads: LayerParams holds one tensor per kind
-with a leading head axis H (w_q is H x d_head x d_model, gate_b has H
-entries), so projections, norms, shifts and gates run for all heads at once.
-Only the attention core runs head by head, on the 2-D one-head kernels. The
-model names each stacked tensor whole (blocks.<i>.attn.<field>) everywhere
-except the checkpoint, whose per-head records blocks.<i>.attn.heads.<h>.<field>
-model.per_head_parameters() builds.
+with a leading head axis H, so projections, norms, shifts and gates run for
+all heads at once. param_shapes(cfg, mode) is the one table of which tensors
+a layer uses and their shapes; init, the forward's parameter check and the
+model's MLP-width solve all read it. Only the attention core runs head by
+head, on the 2-D one-head kernels. The model names each stacked tensor whole
+(blocks.<i>.attn.<field>) everywhere except the checkpoint, whose per-head
+records blocks.<i>.attn.heads.<h>.<field> model.per_head_parameters() builds.
 
 A forward may keep only its last n rows (keep_last=n): keys, values, the
 kv-shift and the forget gates still run at all L rows, since every kept
@@ -78,14 +79,6 @@ class GateMode:
             if self.t_min > self.t_max:
                 raise ValueError(f"t_min {self.t_min} > t_max {self.t_max}")
 
-    @property
-    def has_gate_vector(self) -> bool:
-        return self.kind == "data_dependent"
-
-    @property
-    def has_gate_bias(self) -> bool:
-        return self.kind in ("data_dependent", "data_independent", "fixed")
-
 
 @dataclass(frozen=True)
 class LayerConfig:
@@ -134,10 +127,9 @@ class LayerConfig:
 class LayerParams:
     """One layer's parameters stacked over its H heads; unused features hold None.
 
-    w_q, w_k, w_v, w_g: H x d_head x d_model. shift_k, shift_v, gate_w:
-    H x d_model. gate_b: H. q_gamma, k_gamma, out_gamma: H x d_head.
-    w_o: d_model x (H * d_head), head h owning columns h*d_head:(h+1)*d_head.
-    Field order is the canonical per-head parameter order.
+    param_shapes gives each tensor's shape and when it is present. Head h
+    owns w_o's columns h*d_head:(h+1)*d_head. Field order is the canonical
+    per-head parameter order.
     """
 
     w_q: np.ndarray
@@ -162,6 +154,30 @@ class LayerParams:
 # Leaf name of the forget-gate bias, taken from the field so the optimizer's
 # rules (no weight decay; frozen in "fixed" mode) follow any rename.
 GATE_BIAS = next(f.name for f in fields(LayerParams) if f.metadata.get("gate_bias"))
+
+
+def param_shapes(cfg: LayerConfig, mode: GateMode) -> dict[str, tuple[int, ...]]:
+    """Stacked shape of every LayerParams tensor cfg and mode use.
+
+    In field order, w_o last; the tensors missing here hold None.
+    """
+    h, dh, d = cfg.n_heads, cfg.d_head, cfg.d_model
+    proj, row, scale = (h, dh, d), (h, d), (h, dh)
+    table = dict(
+        w_q=proj,
+        w_k=proj,
+        w_v=proj,
+        w_g=proj if cfg.output_gate else None,
+        shift_k=row if cfg.kv_shift else None,
+        shift_v=row if cfg.kv_shift else None,
+        gate_w=row if mode.kind == "data_dependent" else None,
+        gate_b=(h,) if mode.kind != "none" else None,
+        q_gamma=scale if cfg.qk_norm else None,
+        k_gamma=scale if cfg.qk_norm else None,
+        out_gamma=scale if cfg.output_norm else None,
+        w_o=(d, h * dh),
+    )
+    return {name: shape for name, shape in table.items() if shape is not None}
 
 
 @dataclass
@@ -296,20 +312,12 @@ def rmsnorm_bwd(
 
 
 def _check_params(params: LayerParams, mode: GateMode, cfg: LayerConfig) -> None:
-    if params.w_q.shape[0] != cfg.n_heads:
-        raise ShapeError(f"{params.w_q.shape[0]} head params for {cfg.n_heads} heads")
-    if cfg.output_gate and params.w_g is None:
-        raise ConfigError("output gate enabled but w_g is missing")
-    if cfg.kv_shift and (params.shift_k is None or params.shift_v is None):
-        raise ConfigError("kv shift enabled but shift weights are missing")
-    if cfg.qk_norm and (params.q_gamma is None or params.k_gamma is None):
-        raise ConfigError("qk norm enabled but norm scales are missing")
-    if cfg.output_norm and params.out_gamma is None:
-        raise ConfigError("output norm enabled but out_gamma is missing")
-    if mode.has_gate_bias and params.gate_b is None:
-        raise ConfigError(f"gate mode {mode.kind} needs gate_b")
-    if mode.has_gate_vector and params.gate_w is None:
-        raise ConfigError("data_dependent gate needs gate_w")
+    for name, shape in param_shapes(cfg, mode).items():
+        a = getattr(params, name)
+        if a is None:
+            raise ConfigError(f"{name} is missing; this layer config and gate mode use it")
+        if a.shape != shape:
+            raise ShapeError(f"{name} shape {a.shape} != {shape}")
 
 
 def _merge_heads(a: np.ndarray) -> np.ndarray:
@@ -547,6 +555,10 @@ def layer_bwd(
     return dx, grads
 
 
+# The tensors init draws per head, in draw order (see init_layer_params).
+_DRAW_ORDER = ("gate_w", "w_q", "w_k", "w_v", "w_g", "shift_k", "shift_v")
+
+
 def init_layer_params(
     cfg: LayerConfig,
     mode: GateMode,
@@ -561,47 +573,21 @@ def init_layer_params(
     shift_v, then the next head) and w_o last; a seed's initial checkpoint
     bytes depend on this order.
     """
-    d, dh, n_heads = cfg.d_model, cfg.d_head, cfg.n_heads
+    shapes = param_shapes(cfg, mode)
 
-    def w(*shape):
+    def w(shape):
         return rng.normal(0.0, init_std, size=shape).astype(dtype)
 
-    draws = [
-        (
-            w(d) if mode.has_gate_vector else None,
-            w(dh, d),
-            w(dh, d),
-            w(dh, d),
-            w(dh, d) if cfg.output_gate else None,
-            w(d) if cfg.kv_shift else None,
-            w(d) if cfg.kv_shift else None,
-        )
-        for _ in range(n_heads)
-    ]
-    gate_w, w_q, w_k, w_v, w_g, shift_k, shift_v = (
-        None if per_head[0] is None else np.stack(per_head) for per_head in zip(*draws)
-    )
-    if mode.kind == "data_dependent":
-        gate_b = np.zeros(n_heads, dtype=dtype)
-    elif mode.kind in ("data_independent", "fixed"):
-        gate_b = forget_gate_init(mode.t_min, mode.t_max, n_heads).astype(dtype)
-    else:
-        gate_b = None
-
-    def ones(enabled):
-        return np.ones((n_heads, dh), dtype=dtype) if enabled else None
-
-    return LayerParams(
-        w_q=w_q,
-        w_k=w_k,
-        w_v=w_v,
-        w_g=w_g,
-        shift_k=shift_k,
-        shift_v=shift_v,
-        gate_w=gate_w,
-        gate_b=gate_b,
-        q_gamma=ones(cfg.qk_norm),
-        k_gamma=ones(cfg.qk_norm),
-        out_gamma=ones(cfg.output_norm),
-        w_o=w(d, n_heads * dh),
-    )
+    drawn = [name for name in _DRAW_ORDER if name in shapes]
+    heads = [[w(shapes[name][1:]) for name in drawn] for _ in range(cfg.n_heads)]
+    tensors = {name: np.stack(per_head) for name, per_head in zip(drawn, zip(*heads))}
+    for name, shape in shapes.items():
+        if name == GATE_BIAS and mode.kind == "data_dependent":
+            tensors[name] = np.zeros(shape, dtype=dtype)
+        elif name == GATE_BIAS:
+            tensors[name] = forget_gate_init(mode.t_min, mode.t_max, cfg.n_heads).astype(dtype)
+        elif name.endswith("gamma"):
+            tensors[name] = np.ones(shape, dtype=dtype)
+        elif name not in tensors:  # w_o, drawn after every head
+            tensors[name] = w(shape)
+    return LayerParams(**tensors)

@@ -2,10 +2,11 @@
 
 Each block is x + attn(norm(x)) followed by x + mlp(norm(x)); the MLP is the
 gated form hidden = (W_in x) * silu(W_gate x) projected back by W_out. The
-token embedding and the output head are separate matrices (not tied). When
-the gated ("pro") layer is selected, its MLP hidden width is solved so the
-block's parameter count matches the plain ("llama") block at the same width,
-making architecture comparisons parameter-for-parameter fair.
+token embedding and the output head are separate matrices (not tied). A
+layer with attention parameters beyond the plain ("llama") preset's gets an
+MLP hidden width solved so the block's parameter count matches the plain
+block at the same width, making architecture comparisons
+parameter-for-parameter fair.
 
 model_fwd(..., keep_last=n) returns logits for the last n positions only.
 Row i of the last block feeds only logits row i, so the last block runs its
@@ -24,6 +25,7 @@ views named blocks.<i>.attn.heads.<h>.<field>.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +41,7 @@ from .layer import (
     kept_rows,
     layer_bwd,
     llama_layer_fwd,
+    param_shapes,
     pro_layer_fwd,
     rmsnorm_bwd,
     zeros_like_layer,
@@ -80,55 +83,35 @@ class ModelConfig:
             raise ConfigError("rope applies to the plain layer only")
 
     def layer_config(self) -> LayerConfig:
-        tile = TileConfig(self.tile, self.tile)
-        if self.arch == "pro":
-            return LayerConfig.pro(
-                self.d_model,
-                self.n_heads,
-                self.d_head,
-                backend=self.backend,
-                tile=tile,
-                eps=self.eps,
-            )
-        return LayerConfig.llama(
+        preset = LayerConfig.pro if self.arch == "pro" else LayerConfig.llama
+        return preset(
             self.d_model,
             self.n_heads,
             self.d_head,
             rope=self.rope,
             rope_theta=self.rope_theta,
             backend=self.backend,
-            tile=tile,
+            tile=TileConfig(self.tile, self.tile),
             eps=self.eps,
         )
 
 
-def _attn_param_count(cfg: ModelConfig, arch: str) -> int:
-    d, dh, nh = cfg.d_model, cfg.d_head, cfg.n_heads
-    per_head = 3 * dh * d  # q, k, v projections
-    if arch == "pro":
-        per_head += dh * d  # output gate
-        per_head += 2 * d  # shift weights
-        per_head += 3 * dh  # q/k/out norm scales
-    if cfg.gate_mode.kind == "data_dependent":
-        per_head += d + 1
-    elif cfg.gate_mode.kind in ("data_independent", "fixed"):
-        per_head += 1
-    return nh * per_head + d * nh * dh  # heads + w_o
+def _attn_param_count(lcfg: LayerConfig, mode: GateMode) -> int:
+    return sum(math.prod(shape) for shape in param_shapes(lcfg, mode).values())
 
 
 def mlp_hidden(cfg: ModelConfig) -> int:
     """Hidden width of the block MLP.
 
-    The plain arch uses round(mlp_ratio * d_model). The gated arch solves
-    for the width that equates its block parameter count with the plain
-    block's, absorbing the extra attention parameters.
+    The plain layer uses round(mlp_ratio * d_model). Any other layer config
+    solves for the width that equates its block parameter count with the
+    plain block's, absorbing its extra attention parameters.
     """
-    llama_hidden = round(cfg.mlp_ratio * cfg.d_model)
-    if cfg.arch == "llama":
-        return max(1, llama_hidden)
-    llama_block = _attn_param_count(cfg, "llama") + 3 * cfg.d_model * llama_hidden
-    pro_attn = _attn_param_count(cfg, "pro")
-    return max(1, round((llama_block - pro_attn) / (3 * cfg.d_model)))
+    lcfg = cfg.layer_config()
+    plain = LayerConfig.llama(cfg.d_model, cfg.n_heads, cfg.d_head)
+    extra = _attn_param_count(lcfg, cfg.gate_mode) - _attn_param_count(plain, cfg.gate_mode)
+    llama_mlp = 3 * cfg.d_model * round(cfg.mlp_ratio * cfg.d_model)
+    return max(1, round((llama_mlp - extra) / (3 * cfg.d_model)))
 
 
 @dataclass
@@ -276,6 +259,8 @@ def model_fwd(
     n = tokens.shape[0]
     if n < 1:
         raise ValueError("empty token sequence")
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise ValueError(f"token ids must be integers, got dtype {tokens.dtype}")
     if n > cfg.runtime_len_cap:
         raise ValueError(f"sequence length {n} exceeds runtime cap {cfg.runtime_len_cap}")
     if np.any(tokens < 0) or np.any(tokens >= cfg.vocab_size):
@@ -331,6 +316,18 @@ def _check_targets(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return targets
 
 
+def _check_weights(weights: np.ndarray, n: int) -> np.ndarray:
+    """One finite, non-negative weight per row with a positive sum; float64."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ShapeError(f"weights shape {w.shape} != ({n},)")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("weights must be finite and non-negative")
+    if not w.sum() > 0:
+        raise ValueError("weights sum to zero")
+    return w
+
+
 def cross_entropy(
     logits: np.ndarray,
     targets: np.ndarray,
@@ -347,11 +344,8 @@ def cross_entropy(
     per_pos = lse - logits[np.arange(logits.shape[0]), targets]
     if weights is None:
         return float(per_pos.mean()), per_pos
-    weights = np.asarray(weights, dtype=np.float64)
-    total = weights.sum()
-    if not total > 0:
-        raise ValueError("weights sum to zero")
-    return float((per_pos * weights).sum() / total), per_pos
+    weights = _check_weights(weights, logits.shape[0])
+    return float((per_pos * weights).sum() / weights.sum()), per_pos
 
 
 def cross_entropy_bwd(
@@ -369,7 +363,7 @@ def cross_entropy_bwd(
     if weights is None:
         w = np.full(n, 1.0 / n)
     else:
-        w = np.asarray(weights, dtype=np.float64)
+        w = _check_weights(weights, n)
         w = w / w.sum()
     return (p * w[:, None]).astype(logits.dtype)
 

@@ -119,6 +119,32 @@ def test_rejects_trailing_bytes(tmp_path):
         load_tensors(p)
 
 
+def test_rejects_repeated_record_name(tmp_path):
+    """A second record under a name already read must not replace the first."""
+    p = tmp_path / "m.ckpt"
+    save_model(init_model_params(_cfg(), seed=0), p)
+    extra = tmp_path / "extra.ckpt"
+    save_tensors({"embed": np.full((8, 8), 7.0, dtype=np.float32)}, extra)
+    data = bytearray(p.read_bytes())
+    (count,) = struct.unpack_from("<I", data, 8)
+    struct.pack_into("<I", data, 8, count + 1)
+    p.write_bytes(bytes(data) + extra.read_bytes()[12:])
+    with pytest.raises(CheckpointError, match="repeated"):
+        load_tensors(p)
+    with pytest.raises(CheckpointError, match="repeated"):
+        load_model(_cfg(), p)
+
+
+def test_load_model_rejects_mixed_precisions(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_model(init_model_params(_cfg(), seed=0), p)
+    tensors = load_tensors(p)
+    tensors["head.w"] = tensors["head.w"].astype(np.float64)
+    save_tensors(tensors, p)
+    with pytest.raises(CheckpointError, match="precision"):
+        load_model(_cfg(), p)
+
+
 def _cfg(**kw):
     base = dict(
         n_layers=1, d_model=8, n_heads=2, d_head=4, vocab_size=8,

@@ -5,11 +5,15 @@ shared code, so a transcription error in the layer cannot hide in the test.
 Gradients are checked against local central differences.
 """
 
+import itertools
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from foxattn.errors import ConfigError, ShapeError
 from foxattn.layer import (
+    GATE_KINDS,
     GateMode,
     LayerConfig,
     bias_timescale,
@@ -20,10 +24,12 @@ from foxattn.layer import (
     kv_shift,
     layer_bwd,
     llama_layer_fwd,
+    param_shapes,
     pro_layer_fwd,
     rmsnorm_bwd,
     zeros_like_layer,
 )
+from foxattn.model import _attn_param_count
 from foxattn.tiled import TileConfig
 
 
@@ -420,6 +426,95 @@ def test_missing_parameters_rejected():
     params.gate_w = None
     with pytest.raises(ConfigError):
         pro_layer_fwd(np.zeros((3, 4)), params, mode, cfg)
+
+
+FEATURES = ("qk_norm", "kv_shift", "output_gate", "output_norm")
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_param_shapes_match_init_for_every_feature_mix(kind):
+    """For all 16 on/off mixes of the four extras: the table lists exactly the
+    tensors init builds, with their shapes, and sizes the attention count,
+    which a per-component count written out here confirms."""
+    d, n_heads, dh = 6, 3, 2
+    mode = GateMode(kind=kind)
+    gate = {"data_dependent": d + 1, "data_independent": 1, "fixed": 1, "none": 0}[kind]
+    for flags in itertools.product((False, True), repeat=len(FEATURES)):
+        qk_norm, kv_shift, output_gate, output_norm = flags
+        per_head = (3 + output_gate) * dh * d + 2 * kv_shift * d
+        per_head += (2 * qk_norm + output_norm) * dh + gate
+        cfg = LayerConfig(d, n_heads, dh, **dict(zip(FEATURES, flags)))
+        p = init_layer_params(cfg, mode, np.random.default_rng(0))
+        built = [(f.name, getattr(p, f.name)) for f in fields(p)]
+        built = [(name, a) for name, a in built if a is not None]
+        table = param_shapes(cfg, mode)
+        assert list(table.items()) == [(name, a.shape) for name, a in built], flags
+        assert list(table)[-1] == "w_o"
+        assert _attn_param_count(cfg, mode) == sum(a.size for _, a in built), flags
+        assert _attn_param_count(cfg, mode) == n_heads * per_head + d * n_heads * dh, flags
+
+
+def test_mis_shaped_parameters_rejected_naming_the_field():
+    rng = np.random.default_rng(15)
+    cfg = LayerConfig.pro(4, 2, 2)
+    mode = GateMode(kind="data_dependent")
+    x = np.zeros((3, 4))
+    params = init_layer_params(cfg, mode, rng, dtype=np.float64)
+    params.gate_w = np.zeros((2, 5))
+    with pytest.raises(ShapeError, match=r"gate_w shape \(2, 5\) != \(2, 4\)"):
+        pro_layer_fwd(x, params, mode, cfg)
+    params = init_layer_params(cfg, mode, rng, dtype=np.float64)
+    params.q_gamma = np.ones((3, 2))  # one head too many
+    with pytest.raises(ShapeError, match="q_gamma"):
+        pro_layer_fwd(x, params, mode, cfg)
+    params = init_layer_params(cfg, mode, rng, dtype=np.float64)
+    params.shift_v = None
+    with pytest.raises(ConfigError, match="shift_v"):
+        pro_layer_fwd(x, params, mode, cfg)
+    llama = LayerConfig.llama(4, 2, 2)
+    params = init_layer_params(llama, mode, rng, dtype=np.float64)
+    params.w_o = np.zeros((4, 2))
+    with pytest.raises(ShapeError, match="w_o"):
+        llama_layer_fwd(x, params, mode, llama)
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+@pytest.mark.parametrize("preset", ["pro", "llama"])
+def test_init_draws_head_by_head_in_the_documented_order(preset, kind):
+    """Oracle: per head gate_w, w_q, w_k, w_v, w_g, shift_k, shift_v from one
+    generator, then w_o; nothing else is drawn."""
+    d, n_heads, dh, std = 6, 3, 2, 0.1
+    cfg, mode = getattr(LayerConfig, preset)(d, n_heads, dh), GateMode(kind=kind)
+    rng = np.random.default_rng(5)
+    p = init_layer_params(cfg, mode, rng, init_std=std)
+
+    oracle = np.random.default_rng(5)
+    present = {
+        "gate_w": kind == "data_dependent",
+        "w_q": True,
+        "w_k": True,
+        "w_v": True,
+        "w_g": cfg.output_gate,
+        "shift_k": cfg.kv_shift,
+        "shift_v": cfg.kv_shift,
+    }
+    want = {name: [] for name, on in present.items() if on}
+    for _ in range(n_heads):
+        for name in want:
+            shape = (d,) if name in ("gate_w", "shift_k", "shift_v") else (dh, d)
+            want[name].append(oracle.normal(0.0, std, size=shape).astype(np.float32))
+    w_o = oracle.normal(0.0, std, size=(d, n_heads * dh)).astype(np.float32)
+
+    for name, heads in want.items():
+        np.testing.assert_array_equal(getattr(p, name), np.stack(heads), err_msg=name)
+    np.testing.assert_array_equal(p.w_o, w_o)
+    assert rng.normal() == oracle.normal()  # both generators stand at the same draw
+    for name in ("q_gamma", "k_gamma", "out_gamma"):
+        scale = getattr(p, name)
+        if preset == "llama":
+            assert scale is None
+        else:
+            assert scale.shape == (n_heads, dh) and np.all(scale == 1.0)
 
 
 def test_zeros_like_layer_mirrors_structure():

@@ -187,6 +187,10 @@ def test_model_fwd_shapes_and_validation():
         model_fwd(np.array([11]), params, cfg)
     with pytest.raises(ValueError):
         model_fwd(np.array([-1]), params, cfg)
+    with pytest.raises(ValueError, match="integer"):
+        model_fwd(np.array([1.0, 4.0]), params, cfg)
+    with pytest.raises(ValueError, match="integer"):  # not an index mask
+        model_fwd(np.ones(11, dtype=bool), params, cfg)
 
 
 def test_model_fwd_respects_runtime_cap():
@@ -242,6 +246,14 @@ def test_cross_entropy_validation():
         cross_entropy(logits, np.array([0, 1, 4]))
     with pytest.raises(ValueError):
         cross_entropy(logits, np.array([0, 1, 2]), weights=np.zeros(3))
+    # one weight must not broadcast: 5 uniform rows would score 5 ln 5
+    with pytest.raises(ShapeError):
+        cross_entropy(np.zeros((5, 5)), np.arange(5), weights=np.ones(1))
+    with pytest.raises(ShapeError):
+        cross_entropy(logits, np.array([0, 1, 2]), weights=np.ones((3, 1)))
+    for bad in ([1.0, -1.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0]):
+        with pytest.raises(ValueError):
+            cross_entropy(logits, np.array([0, 1, 2]), weights=np.array(bad))
 
 
 def test_cross_entropy_bwd_validates_targets_like_the_forward():
@@ -254,6 +266,13 @@ def test_cross_entropy_bwd_validates_targets_like_the_forward():
         cross_entropy_bwd(logits, np.array([0, -1, 2]))
     with pytest.raises(ValueError):
         cross_entropy_bwd(logits, np.array([0, 1, 4]))
+    with pytest.raises(ValueError):  # the forward raises; no NaN gradients
+        cross_entropy_bwd(logits, np.array([0, 1, 2]), weights=np.zeros(3))
+    with pytest.raises(ShapeError):
+        cross_entropy_bwd(logits, np.array([0, 1, 2]), weights=np.ones(1))
+    for bad in ([1.0, -1.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0]):
+        with pytest.raises(ValueError):
+            cross_entropy_bwd(logits, np.array([0, 1, 2]), weights=np.array(bad))
 
 
 def test_cross_entropy_bwd_matches_central_differences():
