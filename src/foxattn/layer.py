@@ -185,9 +185,11 @@ class LayerActivations:
     """Forward values kept for the backward, stacked over heads.
 
     Feature tensors are H x L x d_head; alpha_k, alpha_v, f and logf are
-    H x L; aux holds one ForwardAux per head for the tiled backend. With
-    keep_last = n, q_pre, q, o, o_norm and g have n rows (the last n
-    positions) instead of L.
+    H x L. With keep_last = n, q_pre, q, o, o_norm and g have n rows (the
+    last n positions) instead of L. heads holds, per head, the
+    AttentionInputs the forward built (views of q, k, v and logf) and the
+    ForwardAux of the tiled backend (None for the naive one); the backward
+    reuses both instead of building and validating new inputs.
     """
 
     x: np.ndarray
@@ -205,7 +207,7 @@ class LayerActivations:
     o: np.ndarray
     o_norm: np.ndarray
     g: np.ndarray | None
-    aux: list[ForwardAux] | None
+    heads: list[tuple[AttentionInputs, ForwardAux | None]]
 
 
 def gate_timescales(t_min: float, t_max: float, n_heads: int) -> np.ndarray:
@@ -311,13 +313,16 @@ def rmsnorm_bwd(
     return dx, dgamma
 
 
-def _check_params(params: LayerParams, mode: GateMode, cfg: LayerConfig) -> None:
+def _check_params(params: LayerParams, mode: GateMode, cfg: LayerConfig, dtype) -> None:
+    """Every tensor cfg and mode use is present, has its shape and x's dtype."""
     for name, shape in param_shapes(cfg, mode).items():
         a = getattr(params, name)
         if a is None:
             raise ConfigError(f"{name} is missing; this layer config and gate mode use it")
         if a.shape != shape:
             raise ShapeError(f"{name} shape {a.shape} != {shape}")
+        if a.dtype != dtype:
+            raise ValueError(f"{name} dtype {a.dtype} != the input's {np.dtype(dtype)}")
 
 
 def _merge_heads(a: np.ndarray) -> np.ndarray:
@@ -351,7 +356,7 @@ def _forward(
 ) -> tuple[np.ndarray, LayerActivations]:
     if x.ndim != 2 or x.shape[1] != cfg.d_model:
         raise ShapeError(f"x must be L x {cfg.d_model}, got {x.shape}")
-    _check_params(params, mode, cfg)
+    _check_params(params, mode, cfg, x.dtype)
     off = x.shape[0] - kept_rows(keep_last, x.shape[0])
     x_kept = x[off:]
     q_pre = x_kept @ params.w_q.transpose(0, 2, 1)
@@ -380,14 +385,14 @@ def _forward(
         logf = np.minimum(logf, cfg.logf_cap).astype(x.dtype)
 
     o = np.empty_like(q)
-    aux = [] if cfg.backend == "tiled" else None
+    heads = []
     for h in range(cfg.n_heads):
         inp = AttentionInputs(q=q[h], k=k[h], v=v[h], logf=logf[h])
-        if aux is not None:
-            o[h], a = tiled_fwd(inp, cfg.tile)
-            aux.append(a)
+        if cfg.backend == "tiled":
+            o[h], aux = tiled_fwd(inp, cfg.tile)
         else:
-            o[h] = fgattn_fwd(inp)
+            o[h], aux = fgattn_fwd(inp), None
+        heads.append((inp, aux))
 
     o_norm = rmsnorm(o, params.out_gamma, cfg.eps) if cfg.output_norm else o
     g = sigmoid(x_kept @ params.w_g.transpose(0, 2, 1)) if cfg.output_gate else None
@@ -409,7 +414,7 @@ def _forward(
         o=o,
         o_norm=o_norm,
         g=g,
-        aux=aux,
+        heads=heads,
     )
 
 
@@ -508,10 +513,9 @@ def layer_bwd(
     dk = np.empty_like(acts.k)
     dv = np.empty_like(acts.v)
     dlogf = np.empty_like(acts.logf)
-    for h in range(n_heads):
-        inp = AttentionInputs(q=acts.q[h], k=acts.k[h], v=acts.v[h], logf=acts.logf[h])
+    for h, (inp, aux) in enumerate(acts.heads):
         if cfg.backend == "tiled":
-            ag = tiled_bwd(inp, acts.o[h], acts.aux[h], do[h], cfg.tile)
+            ag = tiled_bwd(inp, acts.o[h], aux, do[h], cfg.tile)
         else:
             ag = fgattn_bwd(inp, acts.o[h], do[h])
         dq[h], dk[h], dv[h], dlogf[h] = ag.dq, ag.dk, ag.dv, ag.dlogf

@@ -8,6 +8,14 @@ Per query row it also emits lse_i = m + log l, which the backward uses to
 reconstruct probabilities tile by tile (P = exp(S - lse)) without a second
 normalization pass.
 
+Each query block's first key tile starts at or before the block's first
+row, so every row has a valid key in it: that tile sets m, l and the
+accumulator directly, m is finite from then on, and later tiles rescale
+with exp(m_old - m_new) unguarded. The row max is taken on a column-major
+copy of the tile, the faster layout for that reduction; a max is exact, so
+the layout moves no bit. P is formed in place in the score tile's buffer,
+and the backward's dS in that of dP.
+
 The backward walks the same causal tiles in the same order, query block
 outer and key block inner, and computes each tile's P, dP and dS once, as
 the FlashAttention-2 backward does. Every tile adds its share into dQ and
@@ -29,10 +37,11 @@ log(eps / L), with eps the working dtype's machine epsilon, every
 probability in the block is below eps / L, so each row loses less than eps
 of its normalizer. The bound only grows with e, so the skipped key blocks
 form a prefix: each query block starts its key loop at the first kept
-block, and the block holding the diagonal is always kept. Forward and
-backward share that start, so the backward visits exactly the forward's
-tiles in the same order. Tiles wholly below the diagonal need no causal
-mask and skip the masking work.
+block, and the block holding the diagonal is always kept. The forward
+hands those starts to the backward in its ForwardAux, together with the
+number of tiles it computed (aux.tiles), so the backward visits exactly the
+forward's tiles in the same order without recomputing the bound. Tiles
+wholly below the diagonal need no causal mask and skip the masking work.
 
 A query suffix (q holding the last n <= L positions, see attention.py)
 keeps the absolute query-block grid: blocks still start at multiples of
@@ -76,8 +85,10 @@ class BufferMeter:
     simultaneously-live set recorded by a single call site.
 
     tiled_fwd records once per tile it computes, so after one forward call
-    `calls` is the number of tiles visited, skipped tiles excluded. None
-    entries (the absent mask of a tile below the diagonal) count zero bytes.
+    `calls` is the number of tiles visited, skipped tiles excluded (the
+    forward's aux.tiles). None entries (the absent mask of a tile below the
+    diagonal, the absent rescale factor of a block's first tile) count zero
+    bytes.
     """
 
     def __init__(self) -> None:
@@ -86,7 +97,8 @@ class BufferMeter:
 
     def record(self, *arrays: np.ndarray) -> None:
         self.calls += 1
-        total = sum(int(a.nbytes) for a in arrays if a is not None)
+        live = {id(a): a for a in arrays if a is not None}  # an alias counts once
+        total = sum(int(a.nbytes) for a in live.values())
         if total > self.peak_bytes:
             self.peak_bytes = total
 
@@ -156,12 +168,25 @@ def _masked_scores(
     return s, valid
 
 
+def _exp_rows(s: np.ndarray, shift: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
+    """exp(s - shift) in place in s, with masked entries exactly zero.
+
+    shift broadcasts against s (one value per row); returns s.
+    """
+    s -= shift
+    np.exp(s, out=s)
+    if valid is not None:
+        s *= valid
+    return s
+
+
 def tiled_fwd(
     inp: AttentionInputs, cfg: TileConfig, meter: BufferMeter | None = None
 ) -> tuple[np.ndarray, ForwardAux]:
-    """Streaming forward; returns (O, aux) with aux = per-row lse and c.
+    """Streaming forward; returns (O, aux).
 
-    O and lse have one row per query row; c covers all L positions.
+    O and aux.lse have one row per query row; aux.c covers all L positions.
+    aux also carries the kept-block starts and the number of tiles computed.
     """
     n, d = inp.q.shape
     off = inp.offset
@@ -171,52 +196,43 @@ def tiled_fwd(
     lse = np.empty(n, dtype=dtype)
     k_blocks = _blocks(inp.length, cfg.k_block)
     first = _first_kept_blocks(inp, c, cfg)
+    tiles = 0
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for (r0, r1), j0 in zip(_blocks(inp.length, cfg.q_block, off), first):
-            rows = r1 - r0
-            m = np.full(rows, -np.inf, dtype=dtype)
-            ell = np.zeros(rows, dtype=dtype)
-            acc = np.zeros((rows, d), dtype=dtype)
+            # The first kept key block starts at or before r0, so every row
+            # has a valid key there: that tile sets m, ell and acc directly,
+            # and m stays finite after it, so exp(m - m_new) needs no guard.
+            m = None
             for c0, c1 in k_blocks[j0:]:
                 if c0 > r1 - 1:
                     break  # tile is entirely above the diagonal, as are all later ones
                 s, valid = _masked_scores(inp, c, r0, r1, c0, c1)
-                tile_max = s.max(axis=1)
-                m_new = np.maximum(m, tile_max)
-                if valid is not None:
-                    # Rows with no valid key in this tile must not pull the
-                    # finite mask sentinel into the running max:
-                    # exp(sentinel - m) would be exp(0) = 1 on the next tile.
-                    m_new = np.where(valid.any(axis=1), m_new, m)
-                # exp(-inf - anything) = 0 covers the first tile for a row.
-                alpha = np.where(m == -np.inf, 0.0, np.exp(m - m_new)).astype(dtype)
-                p = np.exp(s - m_new[:, None])
-                if valid is not None:
-                    p = np.where(valid, p, 0.0).astype(dtype, copy=False)
-                ell = alpha * ell + p.sum(axis=1)
-                acc = alpha[:, None] * acc + p @ inp.v[c0:c1]
-                m = m_new
+                tiles += 1
+                s_f = np.asfortranarray(s)  # the faster layout for an exact row max
+                tile_max = s_f.max(axis=1)
+                if m is None:
+                    m, alpha = tile_max, None
+                    p = _exp_rows(s, m[:, None], valid)
+                    ell = p.sum(axis=1)
+                    acc = p @ inp.v[c0:c1]
+                else:
+                    m_new = np.maximum(m, tile_max)
+                    if valid is not None:
+                        # Rows before c0 have no valid key in this tile and
+                        # must not pull the mask sentinel into the running max.
+                        m_new = np.where(np.arange(r0, r1) >= c0, m_new, m)
+                    alpha = np.exp(m - m_new)
+                    p = _exp_rows(s, m_new[:, None], valid)
+                    ell *= alpha
+                    ell += p.sum(axis=1)
+                    acc *= alpha[:, None]
+                    acc += p @ inp.v[c0:c1]
+                    m = m_new
                 if meter is not None:
-                    meter.record(s, valid, p, acc, alpha, ell, m, tile_max)
+                    meter.record(s, valid, s_f, acc, alpha, ell, m, tile_max)
             out[r0 - off : r1 - off] = acc / ell[:, None]
             lse[r0 - off : r1 - off] = m + np.log(ell)
-    return out, ForwardAux(lse=lse, c=c)
-
-
-def _tile_probs(
-    inp: AttentionInputs,
-    aux: ForwardAux,
-    r0: int,
-    r1: int,
-    c0: int,
-    c1: int,
-) -> np.ndarray:
-    """Probability tile P = exp(S - lse) with masked entries exactly zero."""
-    s, valid = _masked_scores(inp, aux.c, r0, r1, c0, c1)
-    p = np.exp(s - aux.lse[r0 - inp.offset : r1 - inp.offset, None])
-    if valid is not None:
-        p = np.where(valid, p, 0.0)
-    return p.astype(s.dtype, copy=False)
+    return out, ForwardAux(lse=lse, c=c, first=first, grid=cfg, tiles=tiles)
 
 
 def tiled_bwd(
@@ -245,18 +261,25 @@ def tiled_bwd(
     dc_q = np.zeros(length, dtype=np.float64)
     dc_k = np.zeros(length, dtype=np.float64)
     k_blocks = _blocks(length, cfg.k_block)
-    first = _first_kept_blocks(inp, aux.c, cfg)
+    if aux.first is not None and aux.grid == cfg:
+        first = aux.first
+    else:  # a hand-built aux, or one from another tile shape
+        first = _first_kept_blocks(inp, aux.c, cfg)
     with np.errstate(over="ignore", under="ignore"):
         for (r0, r1), j0 in zip(_blocks(length, cfg.q_block, off), first):
             q0, q1 = r0 - off, r1 - off  # the block's rows of q, dq, d_out
+            q_blk, do_blk = inp.q[q0:q1], d_out[q0:q1]
+            lse_blk, delta_blk = aux.lse[q0:q1, None], delta[q0:q1, None]
             for c0, c1 in k_blocks[j0:]:
                 if c0 > r1 - 1:
                     break  # tile is entirely above the diagonal, as are all later ones
-                p = _tile_probs(inp, aux, r0, r1, c0, c1)
-                dp = d_out[q0:q1] @ inp.v[c0:c1].T
-                ds = p * (dp - delta[q0:q1, None])
-                dv[c0:c1] += p.T @ d_out[q0:q1]
-                dk[c0:c1] += scale * (ds.T @ inp.q[q0:q1])
+                s, valid = _masked_scores(inp, aux.c, r0, r1, c0, c1)
+                p = _exp_rows(s, lse_blk, valid)  # P = exp(S - lse)
+                ds = do_blk @ inp.v[c0:c1].T  # dP, then dS = P * (dP - Delta)
+                ds -= delta_blk
+                ds *= p
+                dv[c0:c1] += p.T @ do_blk
+                dk[c0:c1] += scale * (ds.T @ q_blk)
                 dq[q0:q1] += scale * (ds @ inp.k[c0:c1])
                 dc_k[c0:c1] -= ds.sum(axis=0)
                 dc_q[r0:r1] += ds.sum(axis=1)

@@ -11,6 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from foxattn.attention import AttentionInputs
 from foxattn.errors import ConfigError, ShapeError
 from foxattn.layer import (
     GATE_KINDS,
@@ -582,3 +583,44 @@ def test_keep_last_boundaries():
         layer_bwd(acts, np.zeros((3, 4)), params, mode, cfg)
     dx, _ = layer_bwd(acts, np.zeros((2, 4)), params, mode, cfg)
     assert dx.shape == (6, 4)
+
+
+def test_parameter_precision_must_match_the_input():
+    """A tensor in another precision than x fails at the boundary, naming the
+    field and both dtypes, not deep inside attention."""
+    rng = np.random.default_rng(22)
+    cfg = LayerConfig.pro(4, 2, 2)
+    mode = GateMode(kind="data_dependent")
+    x = np.zeros((3, 4), dtype=np.float32)
+    params = init_layer_params(cfg, mode, rng, dtype=np.float32)
+    pro_layer_fwd(x, params, mode, cfg)
+    params.w_q = params.w_q.astype(np.float64)
+    with pytest.raises(ValueError, match="w_q dtype float64 != the input's float32"):
+        pro_layer_fwd(x, params, mode, cfg)
+    params = init_layer_params(cfg, mode, rng, dtype=np.float32)
+    with pytest.raises(ValueError, match="dtype float32 != the input's float64"):
+        pro_layer_fwd(x.astype(np.float64), params, mode, cfg)
+
+
+@pytest.mark.parametrize("backend", ["tiled", "naive"])
+def test_layer_bwd_reuses_the_forwards_attention_inputs(monkeypatch, backend):
+    """The forward builds and validates one AttentionInputs per head; the
+    backward reuses them and builds none."""
+    rng = np.random.default_rng(23)
+    cfg = LayerConfig.pro(8, 3, 4, backend=backend, tile=TileConfig(3, 2))
+    mode = GateMode(kind="data_dependent")
+    params = init_layer_params(cfg, mode, rng, dtype=np.float64, init_std=0.3)
+    x = rng.normal(size=(7, 8))
+    built = []
+    real = AttentionInputs.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(AttentionInputs, "__post_init__", counting)
+    _, acts = pro_layer_fwd(x, params, mode, cfg)
+    assert len(built) == cfg.n_heads
+    built.clear()
+    layer_bwd(acts, rng.normal(size=(7, 8)), params, mode, cfg)
+    assert built == []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from foxattn import tiled
-from foxattn.attention import AttentionInputs, fgattn_bwd, fgattn_fwd
+from foxattn.attention import AttentionInputs, ForwardAux, fgattn_bwd, fgattn_fwd
 from foxattn.errors import ConfigError, ShapeError
 from foxattn.tiled import BufferMeter, TileConfig, tiled_bwd, tiled_fwd
 
@@ -347,3 +347,57 @@ def test_query_suffix_backward_shape_validation():
         tiled_bwd(inp, o, aux, np.zeros((9, 2)), TileConfig(4, 4))
     with pytest.raises(ShapeError):
         tiled_bwd(inp, o, type(aux)(lse=aux.lse, c=aux.c[-4:]), np.zeros((4, 2)), TileConfig(4, 4))
+
+
+@pytest.mark.parametrize(
+    "n, strong", [(75, False), (30, False), (1, False), (75, True), (30, True)]
+)
+def test_aux_tiles_counts_the_scored_tiles(monkeypatch, n, strong):
+    """aux.tiles is the number of score tiles the forward computed, for full,
+    query-suffix and strongly decayed (skipping) inputs; the backward
+    computes as many."""
+    length = 75
+    rng = np.random.default_rng(60 + n)
+    make = _strong_decay_inputs if strong else _rand_inputs
+    inp = _suffix(make(rng, length, 4, np.float64), n)
+    cfg = TileConfig(8, 5)
+    calls = []
+    real = tiled._masked_scores
+
+    def counting(inp, c, r0, r1, c0, c1):
+        calls.append((r0, c0))
+        return real(inp, c, r0, r1, c0, c1)
+
+    monkeypatch.setattr(tiled, "_masked_scores", counting)
+    o, aux = tiled_fwd(inp, cfg)
+    assert aux.tiles == len(calls)
+    causal = _suffix_causal_tiles(length, n, 8, 5)
+    assert (aux.tiles < len(causal)) if strong else (aux.tiles == len(causal))
+    calls.clear()
+    tiled_bwd(inp, o, aux, np.ones_like(o), cfg)
+    assert len(calls) == aux.tiles
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [90, 17])
+def test_backward_same_bytes_from_hand_built_aux(dtype, n):
+    """The kept-block starts the forward hands over are the ones the backward
+    would compute: a hand-built ForwardAux(lse, c), or one from another tile
+    shape, gives byte-identical gradients."""
+    rng = np.random.default_rng(61)
+    inp = _suffix(_strong_decay_inputs(rng, 90, 4, dtype), n)
+    cfg = TileConfig(16, 8)
+    o, aux = tiled_fwd(inp, cfg)
+    assert aux.first is not None and aux.grid == cfg
+    d_out = rng.normal(size=o.shape).astype(dtype)
+    want = tiled_bwd(inp, o, aux, d_out, cfg)
+    _, other = tiled_fwd(inp, TileConfig(16, 4))  # same query blocks, other key grid
+    assert other.first.shape == aux.first.shape and np.any(other.first != aux.first)
+    for given in (
+        ForwardAux(lse=aux.lse, c=aux.c),
+        ForwardAux(lse=aux.lse, c=aux.c, first=other.first, grid=other.grid),
+    ):
+        got = tiled_bwd(inp, o, given, d_out, cfg)
+        for name in ("dq", "dk", "dv", "dlogf"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
