@@ -313,7 +313,7 @@ def rmsnorm_bwd(
     return dx, dgamma
 
 
-def _check_params(params: LayerParams, mode: GateMode, cfg: LayerConfig, dtype) -> None:
+def _check_params(params: LayerParams, mode: GateMode, cfg: LayerConfig, dtype: np.dtype) -> None:
     """Every tensor cfg and mode use is present, has its shape and x's dtype."""
     for name, shape in param_shapes(cfg, mode).items():
         a = getattr(params, name)

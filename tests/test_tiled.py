@@ -356,26 +356,15 @@ def test_aux_tiles_counts_the_scored_tiles(monkeypatch, n, strong):
     """aux.tiles is the number of score tiles the forward computed, for full,
     query-suffix and strongly decayed (skipping) inputs; the backward
     computes as many."""
-    length = 75
+    length, tiles = 75, (8, 5)
     rng = np.random.default_rng(60 + n)
     make = _strong_decay_inputs if strong else _rand_inputs
     inp = _suffix(make(rng, length, 4, np.float64), n)
-    cfg = TileConfig(8, 5)
-    calls = []
-    real = tiled._masked_scores
-
-    def counting(inp, c, r0, r1, c0, c1):
-        calls.append((r0, c0))
-        return real(inp, c, r0, r1, c0, c1)
-
-    monkeypatch.setattr(tiled, "_masked_scores", counting)
-    o, aux = tiled_fwd(inp, cfg)
-    assert aux.tiles == len(calls)
-    causal = _suffix_causal_tiles(length, n, 8, 5)
+    _, aux = tiled_fwd(inp, TileConfig(*tiles))
+    fwd_calls, bwd_calls, _, _ = _visited_tiles(monkeypatch, inp, TileConfig(*tiles), inp.q)
+    assert aux.tiles == len(fwd_calls) == len(bwd_calls)
+    causal = _suffix_causal_tiles(length, n, *tiles)
     assert (aux.tiles < len(causal)) if strong else (aux.tiles == len(causal))
-    calls.clear()
-    tiled_bwd(inp, o, aux, np.ones_like(o), cfg)
-    assert len(calls) == aux.tiles
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
