@@ -20,15 +20,11 @@ version that never does lives in tiled.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ShapeError
 from .kernels import cumsum_fwd, cumsum_rev, matmul, neg_inf, row_softmax
-
-if TYPE_CHECKING:
-    from .tiled import TileConfig
 
 
 def _check_log_gates(logf: np.ndarray) -> None:
@@ -125,18 +121,12 @@ class ForwardAux:
     float64 cumulative log-gate vector. Together they let the backward
     recompute probabilities tile by tile without renormalizing.
 
-    The forward also records which tiles it computed: first holds, per query
-    block, the index of the first key block it kept on the tile grid `grid`
-    (the TileConfig it ran with), and tiles counts the score tiles computed.
-    The backward reuses first when it runs on the same grid, so it visits
-    exactly the forward's tiles. A hand-built ForwardAux(lse=..., c=...)
-    leaves all three None, and the backward recomputes the starts.
+    tiles counts the score tiles the streaming forward computed, skipped
+    tiles excluded; a hand-built ForwardAux(lse=..., c=...) leaves it None.
     """
 
     lse: np.ndarray
     c: np.ndarray
-    first: np.ndarray | None = None
-    grid: TileConfig | None = None
     tiles: int | None = None
 
 

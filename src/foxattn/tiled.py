@@ -37,11 +37,11 @@ log(eps / L), with eps the working dtype's machine epsilon, every
 probability in the block is below eps / L, so each row loses less than eps
 of its normalizer. The bound only grows with e, so the skipped key blocks
 form a prefix: each query block starts its key loop at the first kept
-block, and the block holding the diagonal is always kept. The forward
-hands those starts to the backward in its ForwardAux, together with the
-number of tiles it computed (aux.tiles), so the backward visits exactly the
-forward's tiles in the same order without recomputing the bound. Tiles
-wholly below the diagonal need no causal mask and skip the masking work.
+block, and the block holding the diagonal is always kept. The backward
+recomputes the starts from the same inputs and c, so it visits exactly the
+forward's tiles in the same order; the forward reports how many it computed
+in aux.tiles. Tiles wholly below the diagonal need no causal mask and skip
+the masking work.
 
 A query suffix (q holding the last n <= L positions, see attention.py)
 keeps the absolute query-block grid: blocks still start at multiples of
@@ -185,8 +185,8 @@ def tiled_fwd(
 ) -> tuple[np.ndarray, ForwardAux]:
     """Streaming forward; returns (O, aux).
 
-    O and aux.lse have one row per query row; aux.c covers all L positions.
-    aux also carries the kept-block starts and the number of tiles computed.
+    O and aux.lse have one row per query row; aux.c covers all L positions;
+    aux.tiles is the number of score tiles computed.
     """
     n, d = inp.q.shape
     off = inp.offset
@@ -232,7 +232,7 @@ def tiled_fwd(
                     meter.record(s, valid, s_f, acc, alpha, ell, m, tile_max)
             out[r0 - off : r1 - off] = acc / ell[:, None]
             lse[r0 - off : r1 - off] = m + np.log(ell)
-    return out, ForwardAux(lse=lse, c=c, first=first, grid=cfg, tiles=tiles)
+    return out, ForwardAux(lse=lse, c=c, tiles=tiles)
 
 
 def tiled_bwd(
@@ -261,10 +261,7 @@ def tiled_bwd(
     dc_q = np.zeros(length, dtype=np.float64)
     dc_k = np.zeros(length, dtype=np.float64)
     k_blocks = _blocks(length, cfg.k_block)
-    if aux.first is not None and aux.grid == cfg:
-        first = aux.first
-    else:  # a hand-built aux, or one from another tile shape
-        first = _first_kept_blocks(inp, aux.c, cfg)
+    first = _first_kept_blocks(inp, aux.c, cfg)
     with np.errstate(over="ignore", under="ignore"):
         for (r0, r1), j0 in zip(_blocks(length, cfg.q_block, off), first):
             q0, q1 = r0 - off, r1 - off  # the block's rows of q, dq, d_out
